@@ -49,7 +49,6 @@ from .gateway import (
     RawRecord,
     ResponseCache,
     cache_key,
-    complete,
     run_batch,
     simulate_completion,
 )

@@ -24,7 +24,9 @@ STAR_LEVELS = (1, 2, 3, 4)
 #: gold-standard kinds
 PROXY = "departmental_proxy"
 INDIVIDUAL = "individual"
+GOLD_KINDS = (PROXY, INDIVIDUAL)
 
+#: the star scale every score and gold value lies on
 SCORE_MIN = 1.0
 SCORE_MAX = 4.0
 
@@ -111,7 +113,7 @@ class GoldStandard:
     scores: dict[str, float]
 
     def __post_init__(self):
-        if self.kind not in (PROXY, INDIVIDUAL):
+        if self.kind not in GOLD_KINDS:
             raise ValueError(f"unknown gold kind {self.kind!r}")
         for art_id, score in self.scores.items():
             if not (SCORE_MIN <= score <= SCORE_MAX):
@@ -192,14 +194,8 @@ def _parse_article(obj: dict, line_no: int, units) -> Article:
     return Article(id=art_id, uoa=uoa, title=title, abstract=abstract, doi=doi)
 
 
-def load_articles(path: str | Path, units=DEFAULT_UNITS) -> ArticleSet:
-    """Read an article JSONL file.
-
-    Malformed records fail with the offending line number; duplicate ids
-    fail naming both lines. An empty file yields an empty set.
-    """
-    articles: list[Article] = []
-    seen: dict[str, int] = {}
+def _json_objects(path: str | Path):
+    """Yield (line number, object) for each non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -210,13 +206,25 @@ def load_articles(path: str | Path, units=DEFAULT_UNITS) -> ArticleSet:
                 raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"line {line_no}: expected a JSON object")
-            art = _parse_article(obj, line_no, units)
-            if art.id in seen:
-                raise ValueError(
-                    f"duplicate article id {art.id!r} on lines {seen[art.id]} and {line_no}"
-                )
-            seen[art.id] = line_no
-            articles.append(art)
+            yield line_no, obj
+
+
+def load_articles(path: str | Path, units=DEFAULT_UNITS) -> ArticleSet:
+    """Read an article JSONL file.
+
+    Malformed records fail with the offending line number; duplicate ids
+    fail naming both lines. An empty file yields an empty set.
+    """
+    articles: list[Article] = []
+    seen: dict[str, int] = {}
+    for line_no, obj in _json_objects(path):
+        art = _parse_article(obj, line_no, units)
+        if art.id in seen:
+            raise ValueError(
+                f"duplicate article id {art.id!r} on lines {seen[art.id]} and {line_no}"
+            )
+        seen[art.id] = line_no
+        articles.append(art)
     return ArticleSet(articles, units)
 
 
@@ -354,23 +362,14 @@ def load_fewshot_pool(path: str | Path, eval_set: ArticleSet) -> FewShotPool:
     cell present must hold exactly two exemplars.
     """
     exemplars: list[ExemplarArticle] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            if "star" not in obj:
-                raise ValueError(f"line {line_no}: missing key 'star'")
-            star = obj["star"]
-            if star not in STAR_LEVELS:
-                raise ValueError(f"line {line_no}: star must be one of {STAR_LEVELS}")
-            art = _parse_article(obj, line_no, eval_set.units)
-            if art.id in eval_set:
-                raise ValueError(
-                    f"exemplar {art.id!r} overlaps the evaluation set"
-                )
-            exemplars.append(ExemplarArticle(article=art, star=star))
+    for line_no, obj in _json_objects(path):
+        if "star" not in obj:
+            raise ValueError(f"line {line_no}: missing key 'star'")
+        star = obj["star"]
+        if star not in STAR_LEVELS:
+            raise ValueError(f"line {line_no}: star must be one of {STAR_LEVELS}")
+        art = _parse_article(obj, line_no, eval_set.units)
+        if art.id in eval_set:
+            raise ValueError(f"exemplar {art.id!r} overlaps the evaluation set")
+        exemplars.append(ExemplarArticle(article=art, star=star))
     return FewShotPool(exemplars)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .corpus import SCORE_MAX, SCORE_MIN
+
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
 
@@ -53,9 +55,6 @@ _ARTICLE_SCORE = re.compile(
     rf"\s*(?:score\s*[:\-]?\s*)?{_DECOR}\s*{_NUM}",
     re.IGNORECASE,
 )
-
-SCORE_MIN = 1.0
-SCORE_MAX = 4.0
 
 
 @dataclass(frozen=True)

@@ -384,6 +384,22 @@ def fusion_row(
     return row, cv
 
 
+def _ranks_within_uoa(
+    values: dict[str, float], uoa_by_article: dict[str, int]
+) -> dict[str, float]:
+    """Mid-ranks of ``values`` within each uoa, scaled linearly into [1, 4]."""
+    by_uoa: dict[int, list[str]] = {}
+    for art_id in values:
+        by_uoa.setdefault(uoa_by_article[art_id], []).append(art_id)
+    scaled: dict[str, float] = {}
+    for uoa, ids in sorted(by_uoa.items()):
+        ids = sorted(ids)
+        ranks = midranks([values[i] for i in ids])
+        for art_id, value in zip(ids, 1.0 + 3.0 * (ranks - 1.0) / max(len(ids) - 1.0, 1.0)):
+            scaled[art_id] = float(value)
+    return scaled
+
+
 def rank_normalized_pool(
     matrix: ScoreMatrix,
     gold_scores: dict[str, float],
@@ -399,28 +415,12 @@ def rank_normalized_pool(
     pooled = ScoreMatrix(matrix.configured_k)
     for key in matrix.columns:
         column = matrix.cells[key]
-        new_column: dict[str, ScoreCell] = {}
-        by_uoa: dict[int, list[str]] = {}
-        for art_id in column:
-            by_uoa.setdefault(uoa_by_article[art_id], []).append(art_id)
-        for uoa, ids in sorted(by_uoa.items()):
-            ids = sorted(ids)
-            ranks = midranks([column[i].score for i in ids])
-            scaled = 1.0 + 3.0 * (ranks - 1.0) / max(len(ids) - 1.0, 1.0)
-            for art_id, value in zip(ids, scaled):
-                new_column[art_id] = ScoreCell(
-                    score=float(value), effective_k=column[art_id].effective_k
-                )
-        pooled.cells[key] = new_column
-    pooled_gold: dict[str, float] = {}
-    by_uoa_gold: dict[int, list[str]] = {}
-    for art_id in gold_scores:
-        if art_id in uoa_by_article:
-            by_uoa_gold.setdefault(uoa_by_article[art_id], []).append(art_id)
-    for uoa, ids in sorted(by_uoa_gold.items()):
-        ids = sorted(ids)
-        ranks = midranks([gold_scores[i] for i in ids])
-        scaled = 1.0 + 3.0 * (ranks - 1.0) / max(len(ids) - 1.0, 1.0)
-        for art_id, value in zip(ids, scaled):
-            pooled_gold[art_id] = float(value)
-    return pooled, pooled_gold
+        scaled = _ranks_within_uoa(
+            {art_id: cell.score for art_id, cell in column.items()}, uoa_by_article
+        )
+        pooled.cells[key] = {
+            art_id: ScoreCell(score=value, effective_k=column[art_id].effective_k)
+            for art_id, value in scaled.items()
+        }
+    known_gold = {i: s for i, s in gold_scores.items() if i in uoa_by_article}
+    return pooled, _ranks_within_uoa(known_gold, uoa_by_article)

@@ -11,14 +11,13 @@ import hashlib
 import json
 import math
 import os
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .prompts import MessageSequence
-from .util import atomic_write_text, clamp, seed_int, substream
+from .util import atomic_write_text, clamp, safe_name, seed_int, substream
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -131,13 +130,6 @@ def cache_key(task: CompletionTask, cfg: ModelConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def _model_dirname(model: str) -> str:
-    return _SAFE_NAME.sub("_", model)
-
-
 class ResponseCache:
     """Disk cache of raw responses, one JSON file per request digest."""
 
@@ -145,7 +137,7 @@ class ResponseCache:
         self.root = Path(root)
 
     def path_of(self, model: str, key: str) -> Path:
-        return self.root / _model_dirname(model) / f"{key}.json"
+        return self.root / safe_name(model) / f"{key}.json"
 
     def load(self, model: str, key: str) -> dict | None:
         path = self.path_of(model, key)
@@ -256,12 +248,6 @@ def request_completion(
     )
 
 
-def complete(cfg: ModelConfig, messages: MessageSequence, transport=None, sleep=time.sleep) -> str:
-    """The raw assistant text for one request (see :func:`request_completion`)."""
-    text, _, _ = request_completion(cfg, messages, transport=transport, sleep=sleep)
-    return text
-
-
 class HttpBackend:
     """Backend that talks to a chat-completions endpoint."""
 
@@ -322,24 +308,16 @@ def run_batch(
     for task, key in zip(tasks, keys):
         outcome = outcomes[(task.model, key)]
         if isinstance(outcome, GatewayError):
-            records.append(
-                RawRecord(
-                    article_id=task.article_id, model=task.model,
-                    strategy=task.strategy, iteration=task.iteration,
-                    text="", latency_ms=0.0, status=STATUS_FAILED,
-                    attempts=outcome.attempts,
-                )
-            )
+            text, attempts, latency_ms, status = "", outcome.attempts, 0.0, STATUS_FAILED
         else:
-            text, attempts, latency_ms = outcome
-            records.append(
-                RawRecord(
-                    article_id=task.article_id, model=task.model,
-                    strategy=task.strategy, iteration=task.iteration,
-                    text=text, latency_ms=latency_ms, status=STATUS_OK,
-                    attempts=attempts,
-                )
+            (text, attempts, latency_ms), status = outcome, STATUS_OK
+        records.append(
+            RawRecord(
+                article_id=task.article_id, model=task.model,
+                strategy=task.strategy, iteration=task.iteration,
+                text=text, latency_ms=latency_ms, status=status, attempts=attempts,
             )
+        )
     return records
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ import scipy
 
 from . import __version__
 from .corpus import (
+    GOLD_KINDS,
     INDIVIDUAL,
     PROXY,
     ArticleSet,
@@ -39,6 +39,7 @@ from .gateway import (
     HttpBackend,
     MockBackend,
     ModelConfig,
+    RawRecord,
     ResponseCache,
     run_batch,
 )
@@ -54,20 +55,12 @@ from .prompts import (
 )
 from .stats import ScoreCell, ScoreMatrix, aggregate_across_units, correlate, mean_over_iterations
 from .synth import default_system_prompt
-from .util import atomic_write_text, seed_int
+from .util import atomic_write_text, safe_name, seed_int
 from .violin import emit_violin_svg, violin_summary
 from .wata import compare, kwic, tokenize
 
 SCHEMA_VERSION = 1
 STAGES = ("ingest", "prompt", "score", "extract", "analyze", "fuse", "wata", "violin")
-
-_GOLD_KINDS = (PROXY, INDIVIDUAL)
-_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def _safe_name(name: str) -> str:
-    return _SAFE.sub("_", name)
-
 
 @dataclass
 class ExperimentConfig:
@@ -115,7 +108,7 @@ class ExperimentConfig:
         if len(set(kinds)) != len(kinds):
             raise ValueError("duplicate gold kinds configured")
         for kind, _ in self.golds:
-            if kind not in _GOLD_KINDS:
+            if kind not in GOLD_KINDS:
                 raise ValueError(f"unknown gold kind {kind!r}")
 
     def snapshot(self) -> dict:
@@ -155,8 +148,19 @@ class ExperimentConfig:
         }
 
 
+_MODEL_OPTIONS = frozenset(f.name for f in fields(ModelConfig)) - {"name"}
+
+
+def _given(raw: dict, prefix: str = "", **casts) -> dict:
+    """The keys of ``raw`` named in ``casts``, cast, as keyword arguments
+    ``prefix + key``. Absent keys are left out, so the dataclasses declare
+    every default."""
+    return {prefix + key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read a JSON config file; relative paths resolve against its directory."""
+    """Read a JSON config file; relative paths, including overridden output
+    and cache directories, resolve against its directory."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -170,64 +174,51 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    overrides = overrides or {}
+    def optional_path(key: str) -> Path | None:
+        return resolve(raw[key]) if raw.get(key) else None
+
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    for key in ("seed", "iterations", "concurrency", "cache_dir"):
+        if key in overrides:
+            raw[key] = overrides[key]
+    if "out" in overrides:
+        raw["out_dir"] = overrides["out"]
+    if "strategy" in overrides:
+        strategy = overrides["strategy"]
+        raw["strategies"] = STRATEGIES if strategy == "both" else (strategy,)
+    mock = raw.get("mock", {})
+    if isinstance(mock, bool):
+        mock = {"enabled": mock}
     models = [
-        ModelConfig(
-            name=m["name"],
-            base_url=m.get("base_url", ""),
-            api_key_env=m.get("api_key_env"),
-            supports_system_role=m.get("supports_system_role", True),
-            temperature=m.get("temperature"),
-            max_output_tokens=m.get("max_output_tokens"),
-            request_timeout=m.get("request_timeout", 60.0),
-        )
+        ModelConfig(name=m["name"], **{k: v for k, v in m.items() if k in _MODEL_OPTIONS})
         for m in raw.get("models", [])
     ]
-    golds = [(g["kind"], resolve(g["path"])) for g in raw.get("golds", [])]
-    strategies = tuple(raw.get("strategies", list(STRATEGIES)))
-    if "strategy" in overrides and overrides["strategy"] is not None:
-        strategies = (
-            tuple(STRATEGIES) if overrides["strategy"] == "both" else (overrides["strategy"],)
-        )
-    de_raw = raw.get("de", {})
-    cache_dir = raw.get("cache_dir")
-    if overrides.get("cache_dir") is not None:
-        cache_dir = overrides["cache_dir"]
-    out_dir = raw.get("out_dir", "out")
-    if overrides.get("out") is not None:
-        out_dir = overrides["out"]
-    mock_raw = raw.get("mock", {})
-    if isinstance(mock_raw, bool):
-        mock_raw = {"enabled": mock_raw}
     return ExperimentConfig(
         articles=resolve(raw["articles"]),
-        out_dir=Path(out_dir) if Path(out_dir).is_absolute() else base / out_dir,
-        golds=golds,
-        fewshot_pool=resolve(raw["fewshot_pool"]) if raw.get("fewshot_pool") else None,
-        system_prompt=resolve(raw["system_prompt"]) if raw.get("system_prompt") else None,
+        out_dir=resolve(raw.get("out_dir", "out")),
+        golds=[(g["kind"], resolve(g["path"])) for g in raw.get("golds", [])],
+        fewshot_pool=optional_path("fewshot_pool"),
+        system_prompt=optional_path("system_prompt"),
+        cache_dir=optional_path("cache_dir"),
         models=models,
-        strategies=strategies,
-        iterations=int(overrides.get("iterations") or raw.get("iterations", 5)),
-        concurrency=int(overrides.get("concurrency") or raw.get("concurrency", 4)),
-        seed=int(overrides["seed"]) if overrides.get("seed") is not None else int(raw.get("seed", 0)),
         sample_per_uoa=raw.get("sample_per_uoa"),
-        bootstrap_reps=int(raw.get("bootstrap_reps", 1000)),
-        alpha=float(raw.get("alpha", 0.05)),
-        cv_folds=int(raw.get("cv_folds", 10)),
         de=DEParams(
-            population=int(de_raw.get("population", 40)),
-            mutation=float(de_raw.get("mutation", 0.8)),
-            crossover=float(de_raw.get("crossover", 0.9)),
-            generations=int(de_raw.get("generations", 200)),
+            **_given(
+                raw.get("de", {}),
+                population=int, mutation=float, crossover=float, generations=int,
+            )
         ),
-        mock=bool(overrides.get("mock") or mock_raw.get("enabled", False)),
-        mock_noise_sd=float(mock_raw.get("noise_sd", 0.5)),
-        mock_styles=dict(mock_raw.get("styles", {})),
-        cache_dir=Path(cache_dir) if cache_dir else None,
-        wata_q_threshold=float(raw.get("wata", {}).get("q_threshold", 0.05)),
-        wata_kwic_terms=int(raw.get("wata", {}).get("kwic_terms", 5)),
-        wata_kwic_samples=int(raw.get("wata", {}).get("kwic_samples", 5)),
-        wata_kwic_window=int(raw.get("wata", {}).get("kwic_window", 60)),
+        mock=bool(overrides.get("mock") or mock.get("enabled")),
+        **_given(
+            raw,
+            strategies=tuple, iterations=int, concurrency=int, seed=int,
+            bootstrap_reps=int, alpha=float, cv_folds=int,
+        ),
+        **_given(mock, "mock_", noise_sd=float, styles=dict),
+        **_given(
+            raw.get("wata", {}), "wata_",
+            q_threshold=float, kwic_terms=int, kwic_samples=int, kwic_window=int,
+        ),
     )
 
 
@@ -294,6 +285,30 @@ def _matrix_path(cfg: ExperimentConfig) -> Path:
     return cfg.out_dir / "matrix.csv"
 
 
+def _write_jsonl(path: Path, rows) -> None:
+    """One dataclass per line, keys sorted: the format of every JSONL artifact."""
+    # rows are flat, so vars() equals dataclasses.asdict() without its deep copies
+    atomic_write_text(
+        path,
+        "".join(json.dumps(vars(r), ensure_ascii=False, sort_keys=True) + "\n" for r in rows),
+    )
+
+
+def _read_jsonl(path: Path, cls) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [cls(**json.loads(line)) for line in fh if line.strip()]
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """A header line, then one line per row, each ending in a bare newline:
+    the format of every CSV artifact."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
+
+
 def _require(path: Path, producing_stage: str) -> Path:
     if not path.exists():
         raise FileNotFoundError(
@@ -352,14 +367,7 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
         eval_set = sample_per_uoa(eligible, cfg.sample_per_uoa, cfg.seed)
     if len(eval_set) == 0:
         raise ValueError(f"no eligible articles in {cfg.articles}")
-    rows = [
-        {"id": a.id, "uoa": a.uoa, "doi": a.doi, "title": a.title, "abstract": a.abstract}
-        for a in eval_set
-    ]
-    atomic_write_text(
-        _eval_articles_path(cfg),
-        "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in rows),
-    )
+    _write_jsonl(_eval_articles_path(cfg), eval_set)
     counts = {
         "articles_loaded": len(loaded),
         "articles_eligible": len(eligible),
@@ -367,13 +375,8 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
     }
     for kind, path in cfg.golds:
         gold = load_gold_csv(path, kind)
-        known = {i: s for i, s in sorted(gold.scores.items()) if i in eval_set}
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["article_id", "score"])
-        for art_id, score in known.items():
-            writer.writerow([art_id, repr(score)])
-        atomic_write_text(_gold_path(cfg, kind), buf.getvalue())
+        known = [(i, repr(s)) for i, s in sorted(gold.scores.items()) if i in eval_set]
+        _write_csv(_gold_path(cfg, kind), ["article_id", "score"], known)
         counts[f"gold_{kind}"] = len(known)
     pool = _load_pool(cfg, eval_set)
     if pool is not None:
@@ -386,7 +389,7 @@ def stage_prompt(cfg: ExperimentConfig) -> dict:
     pool = _load_pool(cfg, eval_set)
     written = 0
     for article in eval_set:
-        art_dir = cfg.out_dir / "prompts" / _safe_name(article.id)
+        art_dir = cfg.out_dir / "prompts" / safe_name(article.id)
         for strategy in cfg.strategies:
             for iteration in range(1, cfg.iterations + 1):
                 text = _user_text(cfg, article, strategy, iteration, pool)
@@ -446,102 +449,69 @@ def stage_score(cfg: ExperimentConfig) -> dict:
         tasks, configs, concurrency_limit=cfg.concurrency, cache=cache, backend=backend
     )
     records = sorted(records, key=lambda r: r.key)
-    lines = []
-    for rec in records:
-        lines.append(
-            json.dumps(
-                {
-                    "article_id": rec.article_id,
-                    "model": rec.model,
-                    "strategy": rec.strategy,
-                    "iteration": rec.iteration,
-                    "status": rec.status,
-                    "attempts": rec.attempts,
-                    "latency_ms": rec.latency_ms,
-                    "text": rec.text,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    atomic_write_text(_records_path(cfg), "".join(lines))
+    _write_jsonl(_records_path(cfg), records)
     ok = sum(1 for r in records if r.status == STATUS_OK)
     return {"tasks": len(tasks), "ok": ok, "failed": len(records) - ok}
 
 
 @dataclass(frozen=True)
 class ParsedRow:
-    """One record's extraction result, as stored in parsed.jsonl."""
+    """One record's extraction result, as stored in parsed.jsonl. Failed
+    records keep only their key and status."""
 
     article_id: str
     model: str
     strategy: str
     iteration: int
     status: str
-    effective: float | None
-    overall: float | None
-    originality: float | None
-    significance: float | None
-    rigour: float | None
-    flags: tuple[str, ...]
+    effective: float | None = None
+    overall: float | None = None
+    originality: float | None = None
+    significance: float | None = None
+    rigour: float | None = None
+    flags: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # JSON hands the flags back as a list
+        object.__setattr__(self, "flags", tuple(self.flags))
 
 
-def _read_records(cfg: ExperimentConfig) -> list[dict]:
-    rows = []
-    with open(_require(_records_path(cfg), "score"), encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+def _read_records(cfg: ExperimentConfig) -> list[RawRecord]:
+    return _read_jsonl(_require(_records_path(cfg), "score"), RawRecord)
 
 
 def stage_extract(cfg: ExperimentConfig) -> dict:
     records = _read_records(cfg)
-    lines = []
+    rows = []
     n_with_score = n_multi = n_no_score = 0
     for rec in records:
-        if rec["status"] == STATUS_OK:
-            analysis = analyze_report(rec["text"])
-            parsed = analysis.parsed
-            row = {
-                "article_id": rec["article_id"],
-                "model": rec["model"],
-                "strategy": rec["strategy"],
-                "iteration": rec["iteration"],
-                "status": rec["status"],
-                "effective": analysis.effective,
-                "overall": parsed.overall,
-                "originality": parsed.originality,
-                "significance": parsed.significance,
-                "rigour": parsed.rigour,
-                "flags": sorted(parsed.flags),
-            }
-            if analysis.effective is not None:
-                n_with_score += 1
-            if analysis.multi_article:
-                n_multi += 1
-            if "no_score_found" in parsed.flags:
-                n_no_score += 1
-        else:
-            row = {
-                "article_id": rec["article_id"],
-                "model": rec["model"],
-                "strategy": rec["strategy"],
-                "iteration": rec["iteration"],
-                "status": rec["status"],
-                "effective": None,
-                "overall": None,
-                "originality": None,
-                "significance": None,
-                "rigour": None,
-                "flags": [],
-            }
-        lines.append(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-    atomic_write_text(_parsed_path(cfg), "".join(lines))
+        common = (rec.article_id, rec.model, rec.strategy, rec.iteration, rec.status)
+        if rec.status != STATUS_OK:
+            rows.append(ParsedRow(*common))
+            continue
+        analysis = analyze_report(rec.text)
+        parsed = analysis.parsed
+        rows.append(
+            ParsedRow(
+                *common,
+                effective=analysis.effective,
+                overall=parsed.overall,
+                originality=parsed.originality,
+                significance=parsed.significance,
+                rigour=parsed.rigour,
+                flags=tuple(sorted(parsed.flags)),
+            )
+        )
+        if analysis.effective is not None:
+            n_with_score += 1
+        if analysis.multi_article:
+            n_multi += 1
+        if "no_score_found" in parsed.flags:
+            n_no_score += 1
+    _write_jsonl(_parsed_path(cfg), rows)
     return {
         "records": len(records),
-        "parsed_ok": sum(1 for r in records if r["status"] == STATUS_OK),
+        "parsed_ok": sum(1 for r in records if r.status == STATUS_OK),
         "with_score": n_with_score,
         "multi_article": n_multi,
         "no_score": n_no_score,
@@ -549,28 +519,7 @@ def stage_extract(cfg: ExperimentConfig) -> dict:
 
 
 def _read_parsed(cfg: ExperimentConfig) -> list[ParsedRow]:
-    rows = []
-    with open(_require(_parsed_path(cfg), "extract"), encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            rows.append(
-                ParsedRow(
-                    article_id=obj["article_id"],
-                    model=obj["model"],
-                    strategy=obj["strategy"],
-                    iteration=obj["iteration"],
-                    status=obj["status"],
-                    effective=obj["effective"],
-                    overall=obj["overall"],
-                    originality=obj["originality"],
-                    significance=obj["significance"],
-                    rigour=obj["rigour"],
-                    flags=tuple(obj["flags"]),
-                )
-            )
-    return rows
+    return _read_jsonl(_require(_parsed_path(cfg), "extract"), ParsedRow)
 
 
 def build_matrix(cfg: ExperimentConfig, parsed: list[ParsedRow]) -> ScoreMatrix:
@@ -584,15 +533,15 @@ def build_matrix(cfg: ExperimentConfig, parsed: list[ParsedRow]) -> ScoreMatrix:
 
 
 def _write_matrix(cfg: ExperimentConfig, matrix: ScoreMatrix) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["article_id", "model", "strategy", "score", "effective_k"])
-    for model, strategy in matrix.columns:
-        column = matrix.cells[(model, strategy)]
-        for art_id in sorted(column):
-            cell = column[art_id]
-            writer.writerow([art_id, model, strategy, repr(cell.score), cell.effective_k])
-    atomic_write_text(_matrix_path(cfg), buf.getvalue())
+    _write_csv(
+        _matrix_path(cfg),
+        ["article_id", "model", "strategy", "score", "effective_k"],
+        (
+            [art_id, model, strategy, repr(cell.score), cell.effective_k]
+            for model, strategy in matrix.columns
+            for art_id, cell in sorted(matrix.cells[(model, strategy)].items())
+        ),
+    )
 
 
 def read_matrix(cfg: ExperimentConfig) -> ScoreMatrix:
@@ -616,10 +565,8 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
     matrix = build_matrix(cfg, parsed)
     _write_matrix(cfg, matrix)
     uoa_of = _uoa_map(eval_set)
-    corr_buf = io.StringIO()
-    corr = csv.writer(corr_buf, lineterminator="\n")
-    corr.writerow(["uoa", "model", "strategy", "gold_kind", "n", "rho", "ci_low", "ci_high"])
-    written = skipped = 0
+    corr_rows = []
+    skipped = 0
     per_unit: dict[tuple[str, str, str], list[float]] = {}
     for kind in sorted(golds):
         gold = golds[kind]
@@ -643,29 +590,34 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
                 except ValueError:
                     skipped += 1
                     continue
-                corr.writerow(
+                corr_rows.append(
                     [
                         uoa, model, strategy, kind, result.n,
                         f"{result.rho:.6f}", f"{result.ci_low:.6f}", f"{result.ci_high:.6f}",
                     ]
                 )
-                written += 1
                 per_unit.setdefault((model, strategy, kind), []).append(result.rho)
-    atomic_write_text(cfg.out_dir / "correlations.csv", corr_buf.getvalue())
-    agg_buf = io.StringIO()
-    agg = csv.writer(agg_buf, lineterminator="\n")
-    agg.writerow(["model", "strategy", "gold_kind", "units", "mean_rho", "ci_low", "ci_high"])
+    _write_csv(
+        cfg.out_dir / "correlations.csv",
+        ["uoa", "model", "strategy", "gold_kind", "n", "rho", "ci_low", "ci_high"],
+        corr_rows,
+    )
+    agg_rows = []
     for (model, strategy, kind), rhos in sorted(per_unit.items()):
         if len(rhos) < 2:
             continue
         mean, lo, hi = aggregate_across_units(rhos)
-        agg.writerow(
+        agg_rows.append(
             [model, strategy, kind, len(rhos), f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
         )
-    atomic_write_text(cfg.out_dir / "aggregates.csv", agg_buf.getvalue())
+    _write_csv(
+        cfg.out_dir / "aggregates.csv",
+        ["model", "strategy", "gold_kind", "units", "mean_rho", "ci_low", "ci_high"],
+        agg_rows,
+    )
     return {
         "matrix_cells": matrix.cell_count(),
-        "correlation_rows": written,
+        "correlation_rows": len(corr_rows),
         "correlation_skipped": skipped,
     }
 
@@ -735,16 +687,12 @@ def _weights_json(cv) -> list[dict]:
 
 
 def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_FUSION_COLUMNS)
-    for row in rows:
-        mapping = row.as_mapping()
-        writer.writerow(
-            [mapping["uoa"]]
-            + [f"{mapping[c]:.6f}" for c in _FUSION_COLUMNS[1:]]
-        )
-    atomic_write_text(cfg.out_dir / f"fusion_{kind}.csv", buf.getvalue())
+    mappings = [row.as_mapping() for row in rows]
+    _write_csv(
+        cfg.out_dir / f"fusion_{kind}.csv",
+        _FUSION_COLUMNS,
+        ([m["uoa"]] + [f"{m[c]:.6f}" for c in _FUSION_COLUMNS[1:]] for m in mappings),
+    )
     atomic_write_text(
         cfg.out_dir / f"fusion_{kind}_weights.json",
         json.dumps(weights_dump, indent=1, sort_keys=True) + "\n",
@@ -759,8 +707,7 @@ def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
     ]
     header = f"{'uoa':>4}  " + "  ".join(f"{c:>14}" for c in _FUSION_COLUMNS[1:])
     lines.append(header)
-    for row in rows:
-        mapping = row.as_mapping()
+    for mapping in mappings:
         values = {c: mapping[c] for c in _FUSION_COLUMNS[1:]}
         best = max(values.values())
         cells = []
@@ -776,21 +723,21 @@ def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
 
 
 def stage_wata(cfg: ExperimentConfig) -> dict:
-    records = [r for r in _read_records(cfg) if r["status"] == STATUS_OK]
-    grouped: dict[tuple[str, str], list[dict]] = {}
+    records = [r for r in _read_records(cfg) if r.status == STATUS_OK]
+    grouped: dict[tuple[str, str], list[RawRecord]] = {}
     for rec in records:
-        grouped.setdefault((rec["model"], rec["strategy"]), []).append(rec)
+        grouped.setdefault((rec.model, rec.strategy), []).append(rec)
 
-    def doc_id(rec) -> str:
-        return f"{rec['article_id']}/{rec['model']}/{rec['strategy']}/i{rec['iteration']}"
+    def doc_id(rec: RawRecord) -> str:
+        return f"{rec.article_id}/{rec.model}/{rec.strategy}/i{rec.iteration}"
 
-    comparisons: list[tuple[str, list[dict], list[dict]]] = []
+    comparisons: list[tuple[str, list[RawRecord], list[RawRecord]]] = []
     models = sorted({m for m, _ in grouped})
     for model in models:
         if (model, ZERO) in grouped and (model, FEW) in grouped:
             comparisons.append(
                 (
-                    f"{_safe_name(model)}__zero_vs_few",
+                    f"{safe_name(model)}__zero_vs_few",
                     grouped[(model, ZERO)],
                     grouped[(model, FEW)],
                 )
@@ -801,7 +748,7 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
             for model_b in present[i + 1:]:
                 comparisons.append(
                     (
-                        f"{_safe_name(model_a)}_vs_{_safe_name(model_b)}__{strategy}",
+                        f"{safe_name(model_a)}_vs_{safe_name(model_b)}__{strategy}",
                         grouped[(model_a, strategy)],
                         grouped[(model_b, strategy)],
                     )
@@ -809,25 +756,23 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
     wata_dir = cfg.out_dir / "wata"
     n_significant = 0
     for name, docs_a, docs_b in comparisons:
-        corpus_a = [tokenize(doc_id(r), r["text"]) for r in docs_a]
-        corpus_b = [tokenize(doc_id(r), r["text"]) for r in docs_b]
+        corpus_a = [tokenize(doc_id(r), r.text) for r in docs_a]
+        corpus_b = [tokenize(doc_id(r), r.text) for r in docs_b]
         stats = compare(corpus_a, corpus_b, q_threshold=cfg.wata_q_threshold)
         n_significant += len(stats)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["term", "direction", "df_a", "df_b", "n_a", "n_b", "pct_a", "pct_b", "chi2", "p", "q"]
-        )
-        for s in stats:
-            writer.writerow(
+        _write_csv(
+            wata_dir / f"{name}.csv",
+            ["term", "direction", "df_a", "df_b", "n_a", "n_b", "pct_a", "pct_b", "chi2", "p", "q"],
+            (
                 [
                     s.term, s.direction, s.df_a, s.df_b, s.n_a, s.n_b,
                     f"{100 * s.rate_a:.1f}", f"{100 * s.rate_b:.1f}",
                     f"{s.chi2:.4f}", f"{s.p:.6g}", f"{s.q:.6g}",
                 ]
-            )
-        atomic_write_text(wata_dir / f"{name}.csv", buf.getvalue())
-        documents = [(doc_id(r), r["text"]) for r in docs_a + docs_b]
+                for s in stats
+            ),
+        )
+        documents = [(doc_id(r), r.text) for r in docs_a + docs_b]
         kwic_lines = [f"Keyword in context for comparison {name}", ""]
         for s in stats[: cfg.wata_kwic_terms]:
             kwic_lines.append(
@@ -865,7 +810,7 @@ def stage_violin(cfg: ExperimentConfig) -> dict:
                 title=f"{model} / {strategy} vs {kind} gold",
             )
             atomic_write_text(
-                violin_dir / f"{kind}__{_safe_name(model)}__{strategy}.svg", svg
+                violin_dir / f"{kind}__{safe_name(model)}__{strategy}.svg", svg
             )
             written += 1
     return {"violins_written": written, "violins_skipped": skipped}

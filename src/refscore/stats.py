@@ -14,14 +14,9 @@ from math import comb
 import numpy as np
 from scipy import stats as sps
 
+from .corpus import SCORE_MAX, SCORE_MIN
+from .gateway import STATUS_OK
 from .util import substream
-
-SCORE_MIN = 1.0
-SCORE_MAX = 4.0
-
-#: status values on scored records
-STATUS_OK = "ok"
-STATUS_FAILED = "failed"
 
 _BOOTSTRAP_MAX_REDRAW = 100
 
@@ -72,6 +67,11 @@ def spearman(x, y) -> float:
         raise ValueError("spearman needs at least 3 pairs")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("correlation undefined for a constant vector")
+    return _rank_correlation(x, y)
+
+
+def _rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    # Pearson correlation of mid-ranks; the caller has ruled out constant vectors
     rx = midranks(x)
     ry = midranks(y)
     rx -= rx.mean()
@@ -117,7 +117,7 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
             if np.all(xs == xs[0]) or np.all(ys == ys[0]):
                 degenerate += 1
                 continue
-            replicates[i] = _spearman_fast(xs, ys)
+            replicates[i] = _rank_correlation(xs, ys)
             break
         else:
             raise ValueError("input too degenerate: resamples keep collapsing to constants")
@@ -125,15 +125,6 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
         raise ValueError("input too degenerate: more than half of bootstrap resamples were constant")
     lo, hi = np.quantile(replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)
-
-
-def _spearman_fast(x: np.ndarray, y: np.ndarray) -> float:
-    # internal: callers have already screened out constant vectors
-    rx = midranks(x)
-    ry = midranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    return float(rx.dot(ry) / np.sqrt(rx.dot(rx) * ry.dot(ry)))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_UNSAFE_IN_NAME = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 @lru_cache(maxsize=65536)
@@ -47,6 +49,13 @@ def seed_int(*path: int | str) -> int:
     joined = b"\x1f".join(str(w).encode() for w in seed_entropy(*path))
     digest = hashlib.sha256(joined).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def safe_name(name: str) -> str:
+    """A file or directory name for an id or model name: each run of
+    characters other than ASCII letters, digits, ``.``, ``_`` and ``-``
+    becomes ``_``."""
+    return _UNSAFE_IN_NAME.sub("_", name)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCORE_MIN = 1.0
-SCORE_MAX = 4.0
+from .corpus import SCORE_MAX, SCORE_MIN
+
 GRID_POINTS = 101
 GOLD_LEVELS = (1, 2, 3, 4)
 

@@ -376,6 +376,11 @@ class TestFewShotPool:
         with pytest.raises(ValueError, match="star"):
             load_fewshot_pool(path, make_set(n=2, uoas=(1, 2)))
 
+    def test_non_object_line(self, tmp_path, pool_rows):
+        path = write_jsonl(tmp_path / "pool.jsonl", pool_rows + [["star", 2]])
+        with pytest.raises(ValueError, match="line 17: expected a JSON object"):
+            load_fewshot_pool(path, make_set(n=2, uoas=(1, 2)))
+
     def test_missing_cell_via_constructor(self):
         pool_arts = [
             make_article(100 + star * 2 + c, uoa=1)

@@ -1,0 +1,39 @@
+"""The benchmark's traced run wraps refscore functions by name.
+
+``perfbench/tracing.py`` replaces names such as ``harness.tokenize`` and
+``harness.run_batch`` at the modules that call them. A refactor that drops
+one of those imports breaks only the traced benchmark run, so this test
+installs and removes the tracer against the package.
+"""
+import importlib.util
+from pathlib import Path
+
+from refscore import gateway, harness, stats
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores():
+    tracing = load_tracing()
+    sites = [
+        (harness, "run_batch"),
+        (harness, "tokenize"),
+        (harness, "load_gold_csv"),
+        (stats, "midranks"),
+        (gateway, "cache_key"),
+    ]
+    originals = [getattr(owner, name) for owner, name in sites]
+    tracer = tracing.Tracer("t")
+    try:
+        tracer.install()
+        assert harness.run_batch is not originals[0]
+    finally:
+        tracer.restore()
+    assert [getattr(owner, name) for owner, name in sites] == originals

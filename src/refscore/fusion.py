@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import ColumnKey, ScoreCell, ScoreMatrix, midranks, spearman
+from .stats import ColumnKey, ScoreCell, ScoreMatrix, midranks, midranks_2d, spearman
 from .util import substream
 
 
@@ -131,8 +131,7 @@ def _make_objective(design: np.ndarray, gold: np.ndarray):
     """Batch objective: rows of candidate weights -> Spearman rhos vs gold.
 
     Gold ranks never change over a fit, so they are centered once. The
-    candidates' fused vectors are ranked together in one argsort; columns
-    with ties (rare for weighted sums of floats) fall back to midranks.
+    candidates' fused vectors are mid-ranked together, one column each.
     Degenerate candidates (constant fused vector) score -inf.
     """
     gold_ranks = midranks(gold)
@@ -140,17 +139,9 @@ def _make_objective(design: np.ndarray, gold: np.ndarray):
     gold_norm = np.sqrt(gold_ranks.dot(gold_ranks))
     if gold_norm == 0.0:
         raise ValueError("correlation undefined: gold scores are constant")
-    n = design.shape[0]
-    base = np.arange(1.0, n + 1.0)[:, None]
 
     def objective(weight_rows: np.ndarray) -> np.ndarray:
-        fused = design @ weight_rows.T
-        order = np.argsort(fused, axis=0, kind="stable")
-        ranks = np.empty_like(fused)
-        np.put_along_axis(ranks, order, base, axis=0)
-        svals = np.take_along_axis(fused, order, axis=0)
-        for j in np.flatnonzero((svals[1:] == svals[:-1]).any(axis=0)):
-            ranks[:, j] = midranks(fused[:, j])
+        ranks = midranks_2d(design @ weight_rows.T)
         ranks -= ranks.mean(axis=0, keepdims=True)
         norms = np.sqrt((ranks * ranks).sum(axis=0)) * gold_norm
         zero = norms == 0.0

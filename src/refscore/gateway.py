@@ -140,12 +140,26 @@ class ResponseCache:
         return self.root / safe_name(model) / f"{key}.json"
 
     def load(self, model: str, key: str) -> dict | None:
+        """The cached entry, or None on a miss. A file that is not valid
+        JSON, or not an entry with usable ``text``, ``attempts`` and
+        ``latency_ms``, counts as a miss; the next :meth:`store`
+        overwrites it."""
         path = self.path_of(model, key)
         try:
             with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError:
+                entry = json.load(fh)
+        except (FileNotFoundError, ValueError):
+            # ValueError: invalid or truncated JSON, or bytes that are not UTF-8
             return None
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("text"), str)
+            and entry["text"]
+            and isinstance(entry.get("attempts"), int)
+            and isinstance(entry.get("latency_ms"), (int, float))
+        ):
+            return None
+        return entry
 
     def store(self, model: str, key: str, text: str, attempts: int, latency_ms: float) -> None:
         entry = {
@@ -231,7 +245,11 @@ def request_completion(
             last_error, last_status = f"transport failure: {exc}", None
         else:
             if status == 200:
-                text = _extract_content(body)
+                try:
+                    text = _extract_content(body)
+                except GatewayError as exc:
+                    exc.attempts = attempt
+                    raise
                 latency_ms = (time.monotonic() - started) * 1000.0
                 return text, attempt, latency_ms
             last_error, last_status = f"HTTP {status}", status

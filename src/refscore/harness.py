@@ -148,7 +148,35 @@ class ExperimentConfig:
         }
 
 
-_MODEL_OPTIONS = frozenset(f.name for f in fields(ModelConfig)) - {"name"}
+def _field_names(cls, prefix: str = "") -> frozenset[str]:
+    """Names of the fields of ``cls`` that start with ``prefix``, prefix dropped."""
+    return frozenset(f.name[len(prefix):] for f in fields(cls) if f.name.startswith(prefix))
+
+
+# the keys a config file may hold at each level; nested "mock" and "wata"
+# objects fill the prefixed ExperimentConfig fields
+_CONFIG_KEYS = {
+    "top-level": frozenset(
+        f.name for f in fields(ExperimentConfig) if not f.name.startswith(("mock_", "wata_"))
+    ) | {"schema_version", "wata"},
+    "de": _field_names(DEParams),
+    "mock": _field_names(ExperimentConfig, "mock_") | {"enabled"},
+    "wata": _field_names(ExperimentConfig, "wata_"),
+    "gold": frozenset({"kind", "path"}),
+    "model": _field_names(ModelConfig),
+}
+
+
+def _known(raw, level: str, where: str | None = None) -> dict:
+    """``raw`` itself, once it is an object holding only keys ``level``
+    allows; a misspelt key would otherwise run with its default."""
+    where = where or level
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {where} must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS[level])
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    return raw
 
 
 def _given(raw: dict, prefix: str = "", **casts) -> dict:
@@ -163,7 +191,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     and cache directories, resolve against its directory."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = _known(json.load(fh), "top-level")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"config schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
@@ -189,23 +217,26 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     mock = raw.get("mock", {})
     if isinstance(mock, bool):
         mock = {"enabled": mock}
-    models = [
-        ModelConfig(name=m["name"], **{k: v for k, v in m.items() if k in _MODEL_OPTIONS})
-        for m in raw.get("models", [])
-    ]
+    mock = _known(mock, "mock")
+    golds = [_known(g, "gold", f"golds[{i}]") for i, g in enumerate(raw.get("golds", []))]
+    models = [_known(m, "model", f"models[{i}]") for i, m in enumerate(raw.get("models", []))]
     return ExperimentConfig(
         articles=resolve(raw["articles"]),
         out_dir=resolve(raw.get("out_dir", "out")),
-        golds=[(g["kind"], resolve(g["path"])) for g in raw.get("golds", [])],
+        golds=[(g["kind"], resolve(g["path"])) for g in golds],
         fewshot_pool=optional_path("fewshot_pool"),
         system_prompt=optional_path("system_prompt"),
         cache_dir=optional_path("cache_dir"),
-        models=models,
+        models=[
+            ModelConfig(name=m["name"], **{k: v for k, v in m.items() if k != "name"})
+            for m in models
+        ],
         sample_per_uoa=raw.get("sample_per_uoa"),
         de=DEParams(
             **_given(
-                raw.get("de", {}),
+                _known(raw.get("de", {}), "de"),
                 population=int, mutation=float, crossover=float, generations=int,
+                lower=float, upper=float,
             )
         ),
         mock=bool(overrides.get("mock") or mock.get("enabled")),
@@ -216,7 +247,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         ),
         **_given(mock, "mock_", noise_sd=float, styles=dict),
         **_given(
-            raw.get("wata", {}), "wata_",
+            _known(raw.get("wata", {}), "wata"), "wata_",
             q_threshold=float, kwic_terms=int, kwic_samples=int, kwic_window=int,
         ),
     )
@@ -637,9 +668,9 @@ def stage_fuse(cfg: ExperimentConfig) -> dict:
         rows = []
         weights_dump: dict[str, list[dict]] = {}
         for uoa in sorted({a.uoa for a in eval_set}):
-            ids = [i for i in matrix.article_ids() if uoa_of.get(i) == uoa]
+            ids = {i for i in matrix.article_ids() if uoa_of.get(i) == uoa}
             sub = matrix.subset(ids)
-            gold_scores = {i: s for i, s in gold.scores.items() if i in set(ids)}
+            gold_scores = {i: s for i, s in gold.scores.items() if i in ids}
             try:
                 row, cv = fusion_row(
                     label=str(uoa),

@@ -38,15 +38,34 @@ def midranks(values) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError("midranks expects a one-dimensional array")
-    n = len(x)
-    order = np.argsort(x, kind="stable")
-    sorted_x = x[order]
-    # tie groups share the mean of the positions they occupy
-    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
-    ends = np.r_[starts[1:], n]
-    group_rank = 0.5 * (starts + ends - 1) + 1.0
-    ranks = np.empty(n, dtype=float)
-    ranks[order] = np.repeat(group_rank, ends - starts)
+    return midranks_2d(x[:, None])[:, 0]
+
+
+def midranks_2d(values) -> np.ndarray:
+    """Column-wise :func:`midranks` of a 2-D array.
+
+    Each column is ranked on its own; ``out[:, j] == midranks(values[:, j])``
+    bit for bit. One stable argsort along axis 0 sorts every column, and
+    running maxima/minima over the sorted positions carry each tie group's
+    first and last position to all of its members.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("midranks_2d expects a two-dimensional array")
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(x, order, axis=0)
+    new_group = np.ones(x.shape, dtype=bool)
+    new_group[1:] = sorted_x[1:] != sorted_x[:-1]
+    pos = np.arange(n)[:, None]
+    # a group starts where its value first appears and ends (inclusive) one
+    # place before the next group starts
+    starts = np.maximum.accumulate(np.where(new_group, pos, 0), axis=0)
+    last = np.ones(x.shape, dtype=bool)
+    last[:-1] = new_group[1:]
+    ends = np.minimum.accumulate(np.where(last, pos, n - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty(x.shape, dtype=float)
+    np.put_along_axis(ranks, order, 0.5 * (starts + ends) + 1.0, axis=0)
     return ranks
 
 
@@ -67,11 +86,6 @@ def spearman(x, y) -> float:
         raise ValueError("spearman needs at least 3 pairs")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("correlation undefined for a constant vector")
-    return _rank_correlation(x, y)
-
-
-def _rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    # Pearson correlation of mid-ranks; the caller has ruled out constant vectors
     rx = midranks(x)
     ry = midranks(y)
     rx -= rx.mean()
@@ -87,7 +101,8 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
     correlations. Replicate ``i`` draws from a substream keyed (seed, i),
     so results do not depend on evaluation order. Resamples in which either
     vector is constant are redrawn (bounded) and counted; if more than half
-    of all draws are degenerate the input is rejected.
+    of all draws are degenerate the input is rejected. The accepted
+    resamples are ranked together, one column per replicate.
 
     Returns
     -------
@@ -104,7 +119,7 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
         raise ValueError("alpha must lie in (0, 1)")
     spearman(x, y)  # validates length and non-degeneracy
     n = len(x)
-    replicates = np.empty(b_reps, dtype=float)
+    draws = np.empty((b_reps, n), dtype=np.intp)
     degenerate = 0
     total_draws = 0
     for i in range(b_reps):
@@ -117,12 +132,20 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
             if np.all(xs == xs[0]) or np.all(ys == ys[0]):
                 degenerate += 1
                 continue
-            replicates[i] = _rank_correlation(xs, ys)
+            draws[i] = idx
             break
         else:
             raise ValueError("input too degenerate: resamples keep collapsing to constants")
     if degenerate > 0.5 * total_draws:
         raise ValueError("input too degenerate: more than half of bootstrap resamples were constant")
+    # column i holds replicate i; mid-ranks are half-integers, so the
+    # centered sums and products below are exact and match a per-replicate
+    # spearman bit for bit
+    rx = midranks_2d(x[draws].T)
+    ry = midranks_2d(y[draws].T)
+    rx -= rx.mean(axis=0)
+    ry -= ry.mean(axis=0)
+    replicates = (rx * ry).sum(axis=0) / np.sqrt((rx * rx).sum(axis=0) * (ry * ry).sum(axis=0))
     lo, hi = np.quantile(replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)
 

@@ -6,6 +6,7 @@ from refscore.fusion import (
     CvResult,
     DEParams,
     FusionWeights,
+    _make_objective,
     assign_folds,
     best_single,
     cv_fusion,
@@ -275,6 +276,30 @@ class TestDeOptimize:
         gold = {i: float(v) for i, v in zip(ids, rng.uniform(1, 4, len(ids)))}
         fit = de_optimize(matrix, gold, params=FAST_DE, seed=4)
         assert all(0.0 <= w <= 1.0 for w in fit.weights)
+
+
+class TestObjective:
+    def test_rhos_equal_spearman_of_each_tied_candidate(self):
+        rng = np.random.default_rng(6)
+        design = rng.integers(2, 9, size=(36, 3)) / 2.0
+        gold = rng.integers(1, 5, size=36).astype(float)
+        candidates = np.vstack([
+            np.eye(3),
+            [[0.5, 0.5, 0.0], [1.0, 1.0, 1.0], [0.0, 2.0, 2.0]],
+            rng.uniform(0, 1, size=(30, 3)),
+            rng.integers(0, 3, size=(20, 3)),
+            [[0.0, 0.0, 0.0]],
+        ])
+        rhos = _make_objective(design, gold)(candidates)
+        tied = 0
+        for w, rho in zip(candidates, rhos):
+            fused = design @ w
+            if np.all(fused == fused[0]):
+                assert rho == -np.inf
+                continue
+            tied += len(np.unique(fused)) < len(fused)
+            assert rho == pytest.approx(spearman(fused, gold), abs=1e-12)
+        assert tied >= 20
 
 
 class TestAssignFolds:

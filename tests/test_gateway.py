@@ -112,6 +112,28 @@ class TestResponseCache:
         assert cache.load("org/model:v1", "k")["text"] == "x"
         assert (tmp_path / "org_model_v1" / "k.json").is_file()
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"key": "k", "text": "Score: 2*", "attem',
+            "",
+            "[1, 2]",
+            '{"key": "k", "attempts": 1, "latency_ms": 0.0}',
+            '{"key": "k", "text": "Score: 2*", "latency_ms": 0.0}',
+            b"\xff\xfe not utf-8",
+        ],
+        ids=["truncated", "empty", "not-an-object", "no-text", "no-attempts", "not-utf8"],
+    )
+    def test_unusable_entry_is_a_miss(self, tmp_path, content):
+        cache = ResponseCache(tmp_path)
+        path = cache.path_of("m0", "k")
+        path.parent.mkdir(parents=True)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        assert cache.load("m0", "k") is None
+
 
 class TestRequestCompletion:
     def test_success_first_attempt(self):
@@ -199,6 +221,17 @@ class TestRequestCompletion:
         with pytest.raises(GatewayError, match="choices"):
             request_completion(cfg, make_task().messages, transport=transport)
 
+    def test_malformed_body_reports_its_attempt(self):
+        transport = ScriptedTransport([(500, {}), (500, {}), (200, {"id": "x"})])
+        sleeps = []
+        cfg = ModelConfig(name="m0", base_url="http://host")
+        with pytest.raises(GatewayError, match="choices") as info:
+            request_completion(
+                cfg, make_task().messages, transport=transport, sleep=sleeps.append
+            )
+        assert info.value.attempts == 3
+        assert sleeps == [1.0, 2.0]
+
     def test_empty_content_is_an_error(self):
         body = {"choices": [{"message": {"content": ""}}]}
         transport = ScriptedTransport([(200, body)])
@@ -275,6 +308,18 @@ class TestRunBatch:
         second = run_batch(tasks, self.CONFIGS, cache=cache, backend=cold_backend)
         assert cold_backend.calls == []
         assert second == first
+
+    def test_corrupt_cache_file_is_a_miss_and_rewritten(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        tasks = [make_task(article_id=f"a{i}") for i in range(3)]
+        run_batch(tasks, self.CONFIGS, cache=cache, backend=CountingBackend())
+        bad = cache.path_of("m0", cache_key(tasks[1], self.CONFIGS["m0"]))
+        bad.write_text(bad.read_text(encoding="utf-8")[:20], encoding="utf-8")
+        backend = CountingBackend()
+        records = run_batch(tasks, self.CONFIGS, cache=cache, backend=backend)
+        assert all(r.status == STATUS_OK for r in records)
+        assert backend.calls == [tasks[1].key]
+        assert json.loads(bad.read_text(encoding="utf-8"))["text"] == "Score: 3*"
 
     def test_failed_task_yields_failed_record_and_batch_continues(self):
         class FlakyBackend(CountingBackend):

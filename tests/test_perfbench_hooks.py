@@ -8,7 +8,7 @@ installs and removes the tracer against the package.
 import importlib.util
 from pathlib import Path
 
-from refscore import gateway, harness, stats
+from refscore import fusion, gateway, harness, stats
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,4 +36,22 @@ def test_tracer_installs_and_restores():
         assert harness.run_batch is not originals[0]
     finally:
         tracer.restore()
+    assert [getattr(owner, name) for owner, name in sites] == originals
+
+
+def test_tracer_wraps_the_rank_kernel_sites():
+    sites = [
+        (stats, "midranks"),
+        (stats, "bootstrap_ci"),
+        (fusion, "midranks"),
+        (fusion, "de_optimize"),
+    ]
+    originals = [getattr(owner, name) for owner, name in sites]
+    tracer = load_tracing().Tracer("t")
+    try:
+        tracer.install()
+        wrapped = [getattr(owner, name) for owner, name in sites]
+    finally:
+        tracer.restore()
+    assert all(w is not o for w, o in zip(wrapped, originals))
     assert [getattr(owner, name) for owner, name in sites] == originals

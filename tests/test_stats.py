@@ -19,9 +19,11 @@ from refscore.stats import (
     correlate,
     mean_over_iterations,
     midranks,
+    midranks_2d,
     sign_test,
     spearman,
 )
+from refscore.util import substream
 
 
 def rank_oracle(values):
@@ -64,6 +66,47 @@ class TestMidranks:
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             midranks(np.zeros((2, 2)))
+
+
+class TestMidranks2d:
+    @staticmethod
+    def assert_columnwise(values):
+        out = midranks_2d(values)
+        assert out.shape == np.shape(values)
+        for j in range(out.shape[1]):
+            assert np.array_equal(out[:, j], midranks(np.asarray(values)[:, j]))
+
+    def test_matches_midranks_on_tied_half_star_data(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            m = int(rng.integers(1, 12))
+            self.assert_columnwise(rng.integers(2, 9, size=(n, m)) / 2.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_columns(self, n):
+        self.assert_columnwise(np.array([[1.5, 2.0, 2.0], [1.5, 1.0, 2.0]])[:n])
+
+    def test_all_tied_and_untied_columns_side_by_side(self):
+        values = np.column_stack([np.full(7, 3.5), np.arange(7.0)[::-1], [1, 1, 2, 2, 2, 3, 1]])
+        self.assert_columnwise(values)
+        assert np.array_equal(midranks_2d(values)[:, 0], np.full(7, 4.0))
+
+    def test_single_column(self):
+        self.assert_columnwise(np.array([[2.5], [1.0], [2.5], [4.0]]))
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(44)
+        rows = rng.integers(2, 9, size=(30, 25)) / 2.0
+        transposed = rows.T
+        assert not transposed.flags.c_contiguous
+        self.assert_columnwise(transposed)
+        self.assert_columnwise(rows[::2, 1::3])
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_rejects_other_dimensions(self, shape):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            midranks_2d(np.zeros(shape))
 
 
 class TestSpearman:
@@ -147,6 +190,65 @@ class TestBootstrapCI:
             bootstrap_ci(x, x, b_reps=0)
         with pytest.raises(ValueError, match="alpha"):
             bootstrap_ci(x, x, alpha=1.5)
+
+
+def bootstrap_ci_per_replicate(x, y, b_reps, alpha, seed):
+    """bootstrap_ci as one spearman call per accepted replicate; also
+    returns how many resamples were redrawn."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    replicates = np.empty(b_reps)
+    degenerate = total = 0
+    for i in range(b_reps):
+        rng = substream(seed, i)
+        for _ in range(stats._BOOTSTRAP_MAX_REDRAW):
+            idx = rng.integers(0, n, size=n)
+            total += 1
+            xs, ys = x[idx], y[idx]
+            if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+                degenerate += 1
+                continue
+            replicates[i] = spearman(xs, ys)
+            break
+        else:
+            raise ValueError("input too degenerate: resamples keep collapsing to constants")
+    if degenerate > 0.5 * total:
+        raise ValueError("input too degenerate: more than half of bootstrap resamples were constant")
+    lo, hi = np.quantile(replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return (float(lo), float(hi)), degenerate
+
+
+class TestBootstrapBatchEquivalence:
+    def test_equals_per_replicate_loop_on_half_star_data(self):
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(45)
+        intervals = 0
+        for seed in range(60):
+            n = int(rng.integers(3, 60))
+            x = rng.integers(2, 9, size=n) / 2.0
+            y = np.clip(np.round(x + rng.normal(0, 1, n)), 1, 4)
+            if np.all(x == x[0]) or np.all(y == y[0]):
+                continue
+            expected = outcome(lambda: bootstrap_ci_per_replicate(x, y, 150, 0.05, seed)[0])
+            assert outcome(lambda: bootstrap_ci(x, y, b_reps=150, alpha=0.05, seed=seed)) == expected
+            intervals += isinstance(expected, tuple)
+        assert intervals >= 50
+
+    def test_equals_per_replicate_loop_when_resamples_are_redrawn(self):
+        x = np.array([2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.5])
+        y = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        redrawn = 0
+        for seed in range(50):
+            expected, degenerate = bootstrap_ci_per_replicate(x, y, 100, 0.1, seed)
+            assert bootstrap_ci(x, y, b_reps=100, alpha=0.1, seed=seed) == expected
+            redrawn += degenerate
+        assert redrawn > 1000
 
 
 class TestCorrelate:

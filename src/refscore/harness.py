@@ -159,7 +159,9 @@ _CONFIG_KEYS = {
     "top-level": frozenset(
         f.name for f in fields(ExperimentConfig) if not f.name.startswith(("mock_", "wata_"))
     ) | {"schema_version", "wata"},
-    "de": _field_names(DEParams),
+    # the weight bounds stay library-only until the manifest snapshot
+    # records them
+    "de": _field_names(DEParams) - {"lower", "upper"},
     "mock": _field_names(ExperimentConfig, "mock_") | {"enabled"},
     "wata": _field_names(ExperimentConfig, "wata_"),
     "gold": frozenset({"kind", "path"}),
@@ -236,7 +238,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
             **_given(
                 _known(raw.get("de", {}), "de"),
                 population=int, mutation=float, crossover=float, generations=int,
-                lower=float, upper=float,
             )
         ),
         mock=bool(overrides.get("mock") or mock.get("enabled")),

@@ -19,6 +19,8 @@ from .gateway import STATUS_OK
 from .util import substream
 
 _BOOTSTRAP_MAX_REDRAW = 100
+# resampled values ranked at once by bootstrap_ci, bounding its working memory
+_RANK_BLOCK_ELEMENTS = 1 << 16
 
 
 def midranks(values) -> np.ndarray:
@@ -86,11 +88,19 @@ def spearman(x, y) -> float:
         raise ValueError("spearman needs at least 3 pairs")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("correlation undefined for a constant vector")
-    rx = midranks(x)
-    ry = midranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    return float(rx.dot(ry) / np.sqrt(rx.dot(rx) * ry.dot(ry)))
+    return float(_column_rhos(midranks(x)[:, None], midranks(y)[:, None])[0])
+
+
+def _column_rhos(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each pair of mid-rank columns.
+
+    Mid-ranks are half-integers whose mean, (n + 1) / 2, is one too, so the
+    centered sums and products are exact: a column's rho does not depend on
+    the other columns it is computed with.
+    """
+    rx = rx - rx.mean(axis=0)
+    ry = ry - ry.mean(axis=0)
+    return (rx * ry).sum(axis=0) / np.sqrt((rx * rx).sum(axis=0) * (ry * ry).sum(axis=0))
 
 
 def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -> tuple[float, float]:
@@ -102,7 +112,7 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
     so results do not depend on evaluation order. Resamples in which either
     vector is constant are redrawn (bounded) and counted; if more than half
     of all draws are degenerate the input is rejected. The accepted
-    resamples are ranked together, one column per replicate.
+    resamples are ranked in blocks, one column per replicate.
 
     Returns
     -------
@@ -119,33 +129,34 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
         raise ValueError("alpha must lie in (0, 1)")
     spearman(x, y)  # validates length and non-degeneracy
     n = len(x)
-    draws = np.empty((b_reps, n), dtype=np.intp)
+    # accepted resamples are ranked a block of replicates at a time, so
+    # memory stays bounded by _RANK_BLOCK_ELEMENTS whatever b_reps is
+    block = max(1, min(b_reps, _RANK_BLOCK_ELEMENTS // n))
+    draws = np.empty((block, n), dtype=np.intp)
+    replicates = np.empty(b_reps)
     degenerate = 0
     total_draws = 0
-    for i in range(b_reps):
-        rng = substream(seed, i)
-        for _ in range(_BOOTSTRAP_MAX_REDRAW):
-            idx = rng.integers(0, n, size=n)
-            total_draws += 1
-            xs = x[idx]
-            ys = y[idx]
-            if np.all(xs == xs[0]) or np.all(ys == ys[0]):
-                degenerate += 1
-                continue
-            draws[i] = idx
-            break
-        else:
-            raise ValueError("input too degenerate: resamples keep collapsing to constants")
+    for start in range(0, b_reps, block):
+        stop = min(start + block, b_reps)
+        for i in range(start, stop):
+            rng = substream(seed, i)
+            for _ in range(_BOOTSTRAP_MAX_REDRAW):
+                idx = rng.integers(0, n, size=n)
+                total_draws += 1
+                xs = x[idx]
+                ys = y[idx]
+                if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+                    degenerate += 1
+                    continue
+                draws[i - start] = idx
+                break
+            else:
+                raise ValueError("input too degenerate: resamples keep collapsing to constants")
+        # column j holds replicate start + j
+        rows = draws[: stop - start]
+        replicates[start:stop] = _column_rhos(midranks_2d(x[rows].T), midranks_2d(y[rows].T))
     if degenerate > 0.5 * total_draws:
         raise ValueError("input too degenerate: more than half of bootstrap resamples were constant")
-    # column i holds replicate i; mid-ranks are half-integers, so the
-    # centered sums and products below are exact and match a per-replicate
-    # spearman bit for bit
-    rx = midranks_2d(x[draws].T)
-    ry = midranks_2d(y[draws].T)
-    rx -= rx.mean(axis=0)
-    ry -= ry.mean(axis=0)
-    replicates = (rx * ry).sum(axis=0) / np.sqrt((rx * rx).sum(axis=0) * (ry * ry).sum(axis=0))
     lo, hi = np.quantile(replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)
 

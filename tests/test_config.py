@@ -36,11 +36,12 @@ def test_zero_override_is_rejected_not_replaced(config_path, flag, capsys):
         ({"iteraions": 2}, "iteraions"),
         ({"models": [{"name": "mock-a", "temprature": 0.2}]}, "temprature"),
         ({"de": {"population": 12, "generatons": 25}}, "generatons"),
+        ({"de": {"upper": 2.0}}, "upper"),
         ({"mock": {"enabled": True, "noise": 0.3}}, "noise"),
         ({"wata": {"kwic_term": 3}}, "kwic_term"),
         ({"golds": [{"kind": "individual", "path": "g.csv", "weight": 1}]}, "weight"),
     ],
-    ids=["top-level", "model", "de", "mock", "wata", "gold"],
+    ids=["top-level", "model", "de", "de-bounds", "mock", "wata", "gold"],
 )
 def test_misspelt_key_is_rejected_by_name(tmp_path, extra, key, capsys):
     corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
@@ -55,7 +56,7 @@ def test_every_dataclass_option_is_accepted(tmp_path):
     corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
     cfg = load_config(write_config(
         tmp_path, corpus,
-        de={"population": 12, "generations": 25, "lower": 0.0, "upper": 2.0},
+        de={"population": 12, "mutation": 0.5, "crossover": 0.7, "generations": 25},
         models=[{
             "name": "mock-a", "base_url": "", "api_key_env": None,
             "supports_system_role": False, "temperature": 0.2,
@@ -63,6 +64,6 @@ def test_every_dataclass_option_is_accepted(tmp_path):
         }],
         wata={"q_threshold": 0.1, "kwic_terms": 3, "kwic_samples": 2, "kwic_window": 40},
     ))
-    assert cfg.de.upper == 2.0
+    assert cfg.de.crossover == 0.7
     assert cfg.models[0].temperature == 0.2
     assert cfg.wata_kwic_window == 40

@@ -240,9 +240,13 @@ class TestBootstrapBatchEquivalence:
             intervals += isinstance(expected, tuple)
         assert intervals >= 50
 
-    def test_equals_per_replicate_loop_when_resamples_are_redrawn(self):
+    # blocks of 3 replicates leave a short last block of 100
+    @pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks-of-3"])
+    def test_equals_per_replicate_loop_when_resamples_are_redrawn(self, block, monkeypatch):
         x = np.array([2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.5])
         y = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        if block is not None:
+            monkeypatch.setattr(stats, "_RANK_BLOCK_ELEMENTS", block * len(x))
         redrawn = 0
         for seed in range(50):
             expected, degenerate = bootstrap_ci_per_replicate(x, y, 100, 0.1, seed)

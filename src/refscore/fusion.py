@@ -127,30 +127,153 @@ def _complete_design(matrix: ScoreMatrix, gold_scores: dict[str, float]):
     return ids, columns, design, gold
 
 
-def _make_objective(design: np.ndarray, gold: np.ndarray):
-    """Batch objective: rows of candidate weights -> Spearman rhos vs gold.
-
-    Gold ranks never change over a fit, so they are centered once. The
-    candidates' fused vectors are mid-ranked together, one column each.
-    Degenerate candidates (constant fused vector) score -inf.
-    """
-    gold_ranks = midranks(gold)
-    gold_ranks -= gold_ranks.mean()
-    gold_norm = np.sqrt(gold_ranks.dot(gold_ranks))
-    if gold_norm == 0.0:
+def _check_fit(n_columns: int, gold: np.ndarray) -> None:
+    """The preconditions of one weight fit, tested in this order."""
+    if n_columns < 2:
+        raise ValueError("fusion needs at least 2 columns")
+    if len(gold) < 10:
+        raise ValueError(f"fusion needs at least 10 complete-case articles, got {len(gold)}")
+    if np.all(gold == gold[0]):
         raise ValueError("correlation undefined: gold scores are constant")
 
-    def objective(weight_rows: np.ndarray) -> np.ndarray:
-        ranks = midranks_2d(design @ weight_rows.T)
-        ranks -= ranks.mean(axis=0, keepdims=True)
-        norms = np.sqrt((ranks * ranks).sum(axis=0)) * gold_norm
+
+def _make_objective(designs, golds):
+    """Batch objective of K fits: (K, P, dim) candidate weights -> (K, P) rhos.
+
+    Fit k's candidates are fused as ``designs[k] @ W.T``, the product a lone
+    fit computes, into one block padded to the longest design with +inf,
+    which ranks after every real value; all K*P fused vectors are then
+    mid-ranked by one :func:`midranks_2d` call. Mid-ranks of n values
+    average (n + 1) / 2 exactly, so real rows are centered there and padding
+    rows are zeroed: every sum of centered ranks is exact, and each rho is
+    the one fit k would get alone. Gold ranks never change over a fit, so
+    they are centered once. A candidate whose fused vector is constant
+    scores -inf.
+    """
+    sizes = [len(gold) for gold in golds]
+    width = max(sizes)
+    gold_ranks = np.zeros((len(golds), width, 1))
+    gold_norms = np.empty((len(golds), 1))
+    for k, gold in enumerate(golds):
+        ranks = midranks(gold)
+        ranks -= ranks.mean()
+        gold_ranks[k, : len(gold), 0] = ranks
+        gold_norms[k] = np.sqrt(ranks.dot(ranks))
+    centers = np.array([(n + 1) / 2 for n in sizes])[:, None, None]
+    real = (np.arange(width) < np.array(sizes)[:, None])[:, None, :]
+
+    def objective(weights: np.ndarray) -> np.ndarray:
+        k, p, _ = weights.shape
+        fused = np.full((k, p, width), np.inf)
+        for f, design in enumerate(designs):
+            fused[f, :, : len(design)] = (design @ weights[f].T).T
+        ranks = midranks_2d(fused.reshape(k * p, width).T).T.reshape(k, p, width)
+        ranks -= centers
+        ranks *= real
+        norms = np.sqrt((ranks * ranks).sum(axis=2)) * gold_norms
         zero = norms == 0.0
         norms[zero] = 1.0
-        rhos = (ranks.T @ gold_ranks) / norms
+        rhos = (ranks @ gold_ranks)[..., 0] / norms
         rhos[zero] = -np.inf
         return rhos
 
     return objective
+
+
+def _generation_draws(rng, population: int, dim: int, crossover: float):
+    """One fit's random draws for one generation, in their fixed layout.
+
+    Returns the three partner picks per candidate, each in [0, population -
+    1) and redrawn as a batch until a row's three are distinct, and the
+    crossover mask, which takes at least one mutant component per row.
+    """
+    picks = rng.integers(0, population - 1, size=(population, 3))
+    while True:
+        bad = (
+            (picks[:, 0] == picks[:, 1])
+            | (picks[:, 0] == picks[:, 2])
+            | (picks[:, 1] == picks[:, 2])
+        )
+        if not bad.any():
+            break
+        picks[bad] = rng.integers(0, population - 1, size=(int(bad.sum()), 3))
+    cross = rng.random((population, dim)) < crossover
+    cross[np.arange(population), rng.integers(0, dim, size=population)] = True
+    return picks, cross
+
+
+def _fit_lockstep(columns, designs, golds, seeds, params: DEParams):
+    """Fit one weight vector per (design, gold, seed) by DE/rand/1/bin.
+
+    The fits advance together: one (K, P, dim) population and one
+    objective call per generation. Fit k still draws only from substreams
+    of ``seeds[k]``, in the layout of a lone fit, and its rhos are exact
+    (see :func:`_make_objective`), so each result equals fitting that
+    problem on its own.
+
+    Returns the fits before the first one that fails and that failure (or
+    None), so a caller can raise errors in the order a fit-by-fit loop would.
+    """
+    dim = len(columns)
+    error = None
+    for k, gold in enumerate(golds):
+        try:
+            _check_fit(dim, gold)
+        except ValueError as exc:
+            designs, golds, seeds, error = designs[:k], golds[:k], seeds[:k], exc
+            break
+    if not designs:
+        return [], error
+    np_ = params.population
+    objective = _make_objective(designs, golds)
+    population = np.stack([
+        substream(seed, "de-init").uniform(params.lower, params.upper, size=(np_, dim))
+        for seed in seeds
+    ])
+    fitness = objective(population)
+    undefined = ~np.isfinite(fitness).any(axis=1)
+    history = np.empty((params.generations, len(designs)))
+    fit_of = np.arange(len(designs))[:, None]
+    rows = np.arange(np_)[:, None]
+    for gen in range(params.generations):
+        # trials depend only on the generation-start population and on
+        # draws made before any evaluation, so the fits cannot interact
+        draws = [
+            _generation_draws(substream(seed, "de", gen), np_, dim, params.crossover)
+            for seed in seeds
+        ]
+        picks = np.stack([p for p, _ in draws])
+        cross = np.stack([c for _, c in draws])
+        # indices cover the other np_-1 slots; shift past the candidate's
+        # own row so it never mates with itself
+        r1, r2, r3 = np.moveaxis(picks + (picks >= rows), 2, 0)
+        mutants = population[fit_of, r1] + params.mutation * (
+            population[fit_of, r2] - population[fit_of, r3]
+        )
+        mutants.clip(params.lower, params.upper, out=mutants)
+        trials = np.where(cross, mutants, population)
+        trial_fits = objective(trials)
+        improved = trial_fits >= fitness
+        population[improved] = trials[improved]
+        fitness[improved] = trial_fits[improved]
+        history[gen] = fitness.max(axis=1)
+    best = fitness.argmax(axis=1)
+    fits: list[FusionWeights] = []
+    for k in range(len(designs)):
+        if undefined[k]:
+            return fits, ValueError("objective undefined for every initial candidate")
+        try:
+            fits.append(
+                FusionWeights(
+                    columns=tuple(columns),
+                    weights=tuple(float(w) for w in population[k, best[k]]),
+                    objective=float(fitness[k, best[k]]),
+                    history=tuple(float(h) for h in history[:, k]),
+                )
+            )
+        except ValueError as exc:
+            return fits, exc
+    return fits, error
 
 
 def de_optimize(
@@ -168,60 +291,11 @@ def de_optimize(
 
     Out-of-bound mutant components are projected onto the bounds.
     """
-    params = params or DEParams()
-    ids, columns, design, gold = _complete_design(matrix, gold_scores)
-    if len(columns) < 2:
-        raise ValueError("fusion needs at least 2 columns")
-    if len(ids) < 10:
-        raise ValueError(f"fusion needs at least 10 complete-case articles, got {len(ids)}")
-    dim = len(columns)
-    np_ = params.population
-    objective = _make_objective(design, gold)
-    init_rng = substream(seed, "de-init")
-    population = init_rng.uniform(params.lower, params.upper, size=(np_, dim))
-    fitness = objective(population)
-    if not np.isfinite(fitness).any():
-        raise ValueError("objective undefined for every initial candidate")
-    history: list[float] = []
-    rows = np.arange(np_)[:, None]
-    for gen in range(params.generations):
-        # all of a generation's randomness is pre-drawn from one substream
-        # in a fixed layout, and trials depend only on the generation-start
-        # population, so evaluations could run concurrently (and in any
-        # order) without changing the result
-        rng = substream(seed, "de", gen)
-        picks = rng.integers(0, np_ - 1, size=(np_, 3))
-        while True:
-            bad = (
-                (picks[:, 0] == picks[:, 1])
-                | (picks[:, 0] == picks[:, 2])
-                | (picks[:, 1] == picks[:, 2])
-            )
-            if not bad.any():
-                break
-            # rows needing distinct partners are redrawn as a batch
-            picks[bad] = rng.integers(0, np_ - 1, size=(int(bad.sum()), 3))
-        # indices cover the other np_-1 slots; shift past the candidate's
-        # own row so it never mates with itself
-        partners = picks + (picks >= rows)
-        r1, r2, r3 = partners.T
-        mutants = population[r1] + params.mutation * (population[r2] - population[r3])
-        mutants.clip(params.lower, params.upper, out=mutants)
-        cross = rng.random((np_, dim)) < params.crossover
-        cross[rows[:, 0], rng.integers(0, dim, size=np_)] = True
-        trials = np.where(cross, mutants, population)
-        trial_fits = objective(trials)
-        improved = trial_fits >= fitness
-        population[improved] = trials[improved]
-        fitness[improved] = trial_fits[improved]
-        history.append(float(fitness.max()))
-    best_idx = int(np.argmax(fitness))
-    return FusionWeights(
-        columns=tuple(columns),
-        weights=tuple(float(w) for w in population[best_idx]),
-        objective=float(fitness[best_idx]),
-        history=tuple(history),
-    )
+    _, columns, design, gold = _complete_design(matrix, gold_scores)
+    fits, error = _fit_lockstep(columns, [design], [gold], [seed], params or DEParams())
+    if error is not None:
+        raise error
+    return fits[0]
 
 
 def fused_scores(matrix: ScoreMatrix, weights: FusionWeights) -> dict[str, float]:
@@ -292,20 +366,24 @@ def cv_fusion(
     correlation on the held-out fold; the headline number is the mean of
     the fold correlations.
     """
-    ids = [i for i in matrix.complete_ids() if i in gold_scores]
+    ids, columns, design, gold = _complete_design(matrix, gold_scores)
     if len(ids) < folds * 3:
         raise ValueError(
             f"cross-validation needs at least {folds * 3} complete-case articles, got {len(ids)}"
         )
     assignment = assign_folds(ids, folds, seed, uoa_by_article)
+    fold_of = np.array([assignment[i] for i in ids])
+    train = [fold_of != fold for fold in range(folds)]
+    fits, error = _fit_lockstep(
+        columns,
+        [design[rows] for rows in train],
+        [gold[rows] for rows in train],
+        [seed + fold for fold in range(folds)],
+        params or DEParams(),
+    )
     fold_rhos: list[float] = []
-    fold_weights: list[FusionWeights] = []
-    for fold in range(folds):
-        train_ids = [i for i in ids if assignment[i] != fold]
+    for fold, weights in enumerate(fits):
         test_ids = [i for i in ids if assignment[i] == fold]
-        weights = de_optimize(
-            matrix.subset(train_ids), gold_scores, params=params, seed=seed + fold
-        )
         fused = fused_scores(matrix.subset(test_ids), weights)
         x = [fused[i] for i in test_ids]
         y = [gold_scores[i] for i in test_ids]
@@ -314,11 +392,12 @@ def cv_fusion(
         except ValueError as exc:
             raise ValueError(f"fold {fold} cannot support a correlation: {exc}") from None
         fold_rhos.append(rho)
-        fold_weights.append(weights)
+    if error is not None:
+        raise error
     return CvResult(
         mean_rho=float(np.mean(fold_rhos)),
         fold_rhos=tuple(fold_rhos),
-        fold_weights=tuple(fold_weights),
+        fold_weights=tuple(fits),
     )
 
 

@@ -1,9 +1,9 @@
 """Chat-completion gateway: transport, retries, caching and a mock backend.
 
-Every request is addressed by a content digest over (model, messages,
-temperature, iteration), which keys both the on-disk cache and batch
-deduplication. The mock backend produces deterministic synthetic reports
-so the whole pipeline runs offline.
+Every request is addressed by a content digest over the exact request
+body, the endpoint URL and the iteration, which keys both the on-disk
+cache and batch deduplication. The mock backend produces deterministic
+synthetic reports so the whole pipeline runs offline.
 """
 from __future__ import annotations
 
@@ -110,24 +110,43 @@ class GatewayError(Exception):
         self.attempts = attempts
 
 
-def cache_key(task: CompletionTask, cfg: ModelConfig) -> str:
-    """Content digest over model, messages, temperature and iteration.
+def require_api_keys(configs) -> None:
+    """Fail before any request when a model's API key variable is unset.
 
-    Any byte change in the prompt, or a different iteration index, yields a
-    different key.
+    One error names every missing variable and its model, so a live batch
+    never starts only to fail task by task.
     """
-    payload = json.dumps(
+    missing = []
+    for cfg in configs:
+        try:
+            cfg.api_key()
+        except GatewayError:
+            missing.append(f"{cfg.api_key_env} (model {cfg.name})")
+    if missing:
+        raise GatewayError(
+            "API key environment variables are not set: " + ", ".join(missing), attempts=0
+        )
+
+
+def cache_key(task: CompletionTask, cfg: ModelConfig) -> str:
+    """Content digest over the request body, endpoint URL and iteration.
+
+    The body is the one :func:`request_completion` sends, so any change to
+    what is sent (a prompt byte, the temperature, the token limit) or where
+    (the base URL), or a different iteration index, yields a different key.
+    The API key travels in a header and is not part of it.
+    """
+    request = json.dumps(
         {
-            "model": cfg.name,
-            "messages": [{"role": m.role, "content": m.content} for m in task.messages],
-            "temperature": cfg.temperature,
+            "body": _build_payload(cfg, task.messages),
+            "url": _endpoint(cfg),
             "iteration": task.iteration,
         },
         sort_keys=True,
         ensure_ascii=False,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(request.encode("utf-8")).hexdigest()
 
 
 class ResponseCache:
@@ -193,6 +212,10 @@ def default_transport(url: str, payload: dict, headers: dict, timeout: float):
     return resp.status_code, body
 
 
+def _endpoint(cfg: ModelConfig) -> str:
+    return cfg.base_url.rstrip("/") + "/chat/completions"
+
+
 def _build_payload(cfg: ModelConfig, messages: MessageSequence) -> dict:
     payload: dict = {
         "model": cfg.name,
@@ -229,7 +252,7 @@ def request_completion(
     never logged or persisted.
     """
     transport = transport or default_transport
-    url = cfg.base_url.rstrip("/") + "/chat/completions"
+    url = _endpoint(cfg)
     headers = {"Content-Type": "application/json"}
     key = cfg.api_key()
     if key is not None:

@@ -41,6 +41,7 @@ from .gateway import (
     ModelConfig,
     RawRecord,
     ResponseCache,
+    require_api_keys,
     run_batch,
 )
 from .prompts import (
@@ -463,6 +464,8 @@ def _mock_latent(cfg: ExperimentConfig) -> dict[str, float]:
 
 
 def stage_score(cfg: ExperimentConfig) -> dict:
+    if not cfg.mock:
+        require_api_keys(cfg.models)
     eval_set = _load_eval_set(cfg)
     pool = _load_pool(cfg, eval_set)
     tasks = _build_tasks(cfg, eval_set, pool)
@@ -763,17 +766,11 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
     def doc_id(rec: RawRecord) -> str:
         return f"{rec.article_id}/{rec.model}/{rec.strategy}/i{rec.iteration}"
 
-    comparisons: list[tuple[str, list[RawRecord], list[RawRecord]]] = []
+    comparisons: list[tuple[str, tuple[str, str], tuple[str, str]]] = []
     models = sorted({m for m, _ in grouped})
     for model in models:
         if (model, ZERO) in grouped and (model, FEW) in grouped:
-            comparisons.append(
-                (
-                    f"{safe_name(model)}__zero_vs_few",
-                    grouped[(model, ZERO)],
-                    grouped[(model, FEW)],
-                )
-            )
+            comparisons.append((f"{safe_name(model)}__zero_vs_few", (model, ZERO), (model, FEW)))
     for strategy in cfg.strategies:
         present = [m for m in models if (m, strategy) in grouped]
         for i, model_a in enumerate(present):
@@ -781,16 +778,19 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
                 comparisons.append(
                     (
                         f"{safe_name(model_a)}_vs_{safe_name(model_b)}__{strategy}",
-                        grouped[(model_a, strategy)],
-                        grouped[(model_b, strategy)],
+                        (model_a, strategy),
+                        (model_b, strategy),
                     )
                 )
+    # each record is tokenized once, however many comparisons it joins
+    compared = sorted({group for _, a, b in comparisons for group in (a, b)})
+    tokenized = {
+        group: [tokenize(doc_id(r), r.text) for r in grouped[group]] for group in compared
+    }
     wata_dir = cfg.out_dir / "wata"
     n_significant = 0
-    for name, docs_a, docs_b in comparisons:
-        corpus_a = [tokenize(doc_id(r), r.text) for r in docs_a]
-        corpus_b = [tokenize(doc_id(r), r.text) for r in docs_b]
-        stats = compare(corpus_a, corpus_b, q_threshold=cfg.wata_q_threshold)
+    for name, group_a, group_b in comparisons:
+        stats = compare(tokenized[group_a], tokenized[group_b], q_threshold=cfg.wata_q_threshold)
         n_significant += len(stats)
         _write_csv(
             wata_dir / f"{name}.csv",
@@ -804,15 +804,23 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
                 for s in stats
             ),
         )
-        documents = [(doc_id(r), r.text) for r in docs_a + docs_b]
+        documents = [
+            (doc, rec.text)
+            for group in (group_a, group_b)
+            for doc, rec in zip(tokenized[group], grouped[group])
+        ]
         kwic_lines = [f"Keyword in context for comparison {name}", ""]
         for s in stats[: cfg.wata_kwic_terms]:
             kwic_lines.append(
                 f"== {s.term} (toward {s.direction}: {100 * s.rate_a:.1f}% vs "
                 f"{100 * s.rate_b:.1f}%) =="
             )
+            # kwic matches a term exactly where the tokenizer would find
+            # it, so documents without it among their terms cannot match
             samples = kwic(
-                s.term, documents, k=cfg.wata_kwic_samples,
+                s.term,
+                [(doc.doc_id, text) for doc, text in documents if s.term in doc.terms],
+                k=cfg.wata_kwic_samples,
                 window=cfg.wata_kwic_window,
                 seed=seed_int(cfg.seed, "kwic", name),
             )

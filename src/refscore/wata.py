@@ -8,6 +8,7 @@ context sampling supports reading the surviving terms in place.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,11 @@ class TokenizedDoc:
 def tokenize(doc_id: str, text: str) -> TokenizedDoc:
     """Lowercase, split on non-alphanumeric runs, keep terms of length >= 2.
 
-    Only presence matters; within-document repetition is discarded.
+    Only presence matters; within-document repetition is discarded. Terms
+    are interned, so the many documents that share a term share one string.
     """
     terms = frozenset(
-        t for t in _TOKEN.findall(text.lower()) if len(t) >= MIN_TERM_LENGTH
+        map(sys.intern, {t for t in _TOKEN.findall(text.lower()) if len(t) >= MIN_TERM_LENGTH})
     )
     return TokenizedDoc(doc_id=doc_id, terms=terms)
 

@@ -19,6 +19,7 @@ from refscore.fusion import (
     rank_normalized_pool,
 )
 from refscore.stats import ScoreCell, ScoreMatrix, midranks, spearman
+from refscore.util import substream
 
 FAST_DE = DEParams(population=16, generations=40)
 
@@ -290,7 +291,7 @@ class TestObjective:
             rng.integers(0, 3, size=(20, 3)),
             [[0.0, 0.0, 0.0]],
         ])
-        rhos = _make_objective(design, gold)(candidates)
+        rhos = _make_objective([design], [gold])(candidates[None])[0]
         tied = 0
         for w, rho in zip(candidates, rhos):
             fused = design @ w
@@ -389,6 +390,108 @@ class TestCvFusion:
         gold = {i: float(rng.uniform(1, 4)) for i in ids}
         with pytest.raises(ValueError, match="fold 0"):
             cv_fusion(matrix, gold, folds=2, seed=0, params=FAST_DE)
+
+
+def sequential_de(design, gold, params, seed):
+    # reference: one fit on its own, each candidate ranked column by column
+    gold_ranks = midranks(gold)
+    gold_ranks -= gold_ranks.mean()
+    gold_norm = np.sqrt(gold_ranks.dot(gold_ranks))
+
+    def objective(weight_rows):
+        fused = design @ weight_rows.T
+        ranks = np.column_stack([midranks(col) for col in fused.T])
+        ranks -= ranks.mean(axis=0, keepdims=True)
+        norms = np.sqrt((ranks * ranks).sum(axis=0)) * gold_norm
+        zero = norms == 0.0
+        norms[zero] = 1.0
+        rhos = (ranks.T @ gold_ranks) / norms
+        rhos[zero] = -np.inf
+        return rhos
+
+    np_, dim = params.population, design.shape[1]
+    population = substream(seed, "de-init").uniform(params.lower, params.upper, size=(np_, dim))
+    fitness = objective(population)
+    history = []
+    rows = np.arange(np_)[:, None]
+    for gen in range(params.generations):
+        rng = substream(seed, "de", gen)
+        picks = rng.integers(0, np_ - 1, size=(np_, 3))
+        while True:
+            bad = (picks[:, 0] == picks[:, 1]) | (picks[:, 0] == picks[:, 2]) | (picks[:, 1] == picks[:, 2])
+            if not bad.any():
+                break
+            picks[bad] = rng.integers(0, np_ - 1, size=(int(bad.sum()), 3))
+        r1, r2, r3 = (picks + (picks >= rows)).T
+        mutants = population[r1] + params.mutation * (population[r2] - population[r3])
+        mutants.clip(params.lower, params.upper, out=mutants)
+        cross = rng.random((np_, dim)) < params.crossover
+        cross[rows[:, 0], rng.integers(0, dim, size=np_)] = True
+        trials = np.where(cross, mutants, population)
+        trial_fits = objective(trials)
+        improved = trial_fits >= fitness
+        population[improved] = trials[improved]
+        fitness[improved] = trial_fits[improved]
+        history.append(float(fitness.max()))
+    best = int(np.argmax(fitness))
+    return tuple(float(w) for w in population[best]), float(fitness[best]), tuple(history)
+
+
+class TestLockstepFolds:
+    """Folds fitted together equal folds fitted one by one, bit for bit."""
+
+    def test_equals_fold_by_fold_fits(self):
+        params = DEParams(population=10, generations=12)
+        compared = 0
+        for seed in range(30):
+            rng = np.random.default_rng(100 + seed)
+            folds = 3 + seed % 5
+            # fold sizes differ by one, so the folds' training sets differ
+            # in length and the batched ranks are padded
+            n = folds * (5 + seed % 4) + 1 + seed % (folds - 1)
+            assert n % folds != 0
+            ids = [f"a{i:03d}" for i in range(n)]
+            gold_vec = rng.integers(2, 9, n) / 2.0
+            cols = {}
+            for c in range(2 + seed % 3):
+                # means of two half-star scores: heavy ties, as in real runs
+                noisy = np.clip(np.round(2 * (gold_vec + rng.normal(0, 0.7, (2, n)))) / 2, 1, 4)
+                cols[(f"m{c}", "zero")] = dict(zip(ids, noisy.mean(axis=0).tolist()))
+            matrix = build_matrix(cols)
+            gold = dict(zip(ids, gold_vec.tolist()))
+            cv = cv_fusion(matrix, gold, folds=folds, seed=seed, params=params)
+            assignment = assign_folds(ids, folds, seed)
+            for fold, fit in enumerate(cv.fold_weights):
+                train = [i for i in ids if assignment[i] != fold]
+                design = np.array([[cols[key][i] for key in matrix.columns] for i in train])
+                expected = sequential_de(
+                    design, np.array([gold[i] for i in train]), params, seed + fold
+                )
+                assert (fit.weights, fit.objective, fit.history) == expected
+                compared += 1
+        assert compared == sum(3 + seed % 5 for seed in range(30))
+
+    def test_de_optimize_is_one_fold_of_the_batch(self):
+        rng = np.random.default_rng(21)
+        matrix, ids = random_matrix(rng, n_articles=23, n_cols=4)
+        gold = {i: float(v) for i, v in zip(ids, rng.integers(2, 9, len(ids)) / 2.0)}
+        fit = de_optimize(matrix, gold, params=FAST_DE, seed=5)
+        design = np.array([[matrix.cells[key][i].score for key in matrix.columns] for i in ids])
+        expected = sequential_de(design, np.array([gold[i] for i in ids]), FAST_DE, 5)
+        assert (fit.weights, fit.objective, fit.history) == expected
+
+    def test_later_fold_failure_waits_for_earlier_folds(self):
+        # gold is constant outside fold 1, so fold 1 cannot be fitted and
+        # fold 0 cannot be tested; fold by fold, fold 0's test fails first
+        ids = [f"a{i:02d}" for i in range(30)]
+        assignment = assign_folds(ids, folds=3, seed=0)
+        rng = np.random.default_rng(22)
+        matrix = build_matrix(
+            {(m, "zero"): {i: float(rng.uniform(1, 4)) for i in ids} for m in ("m0", "m1")}
+        )
+        gold = {i: float(rng.uniform(1, 4)) if assignment[i] == 1 else 2.0 for i in ids}
+        with pytest.raises(ValueError, match="fold 0 cannot support a correlation"):
+            cv_fusion(matrix, gold, folds=3, seed=0, params=FAST_DE)
 
 
 class TestFusionRow:

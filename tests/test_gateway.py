@@ -23,6 +23,7 @@ from refscore.gateway import (
     _round_to_half,
     cache_key,
     request_completion,
+    require_api_keys,
     run_batch,
 )
 from refscore.prompts import Message, MessageSequence
@@ -85,6 +86,30 @@ class TestCacheKey:
         key = cache_key(make_task(), ModelConfig(name="m0"))
         assert len(key) == 64
         int(key, 16)
+
+    def test_max_output_tokens_changes_key(self):
+        task = make_task()
+        base = cache_key(task, ModelConfig(name="m0"))
+        assert base != cache_key(task, ModelConfig(name="m0", max_output_tokens=256))
+        assert cache_key(task, ModelConfig(name="m0", max_output_tokens=256)) != cache_key(
+            task, ModelConfig(name="m0", max_output_tokens=512)
+        )
+
+    def test_base_url_changes_key(self):
+        task = make_task()
+        a = cache_key(task, ModelConfig(name="m0", base_url="http://host-a/v1"))
+        assert a != cache_key(task, ModelConfig(name="m0", base_url="http://host-b/v1"))
+        # the same endpoint written with a trailing slash is the same request
+        assert a == cache_key(task, ModelConfig(name="m0", base_url="http://host-a/v1/"))
+
+    def test_api_key_stays_out_of_the_key(self, monkeypatch):
+        task = make_task()
+        cfg = ModelConfig(name="m0", base_url="http://host", api_key_env="TEST_GATEWAY_KEY")
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "sk-first")
+        first = cache_key(task, cfg)
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "sk-second")
+        assert cache_key(task, cfg) == first
+        assert first == cache_key(task, ModelConfig(name="m0", base_url="http://host"))
 
 
 class TestResponseCache:
@@ -206,6 +231,24 @@ class TestRequestCompletion:
         call = transport.calls[0]
         assert call["headers"]["Authorization"] == "Bearer sk-secret-123"
         assert "sk-secret-123" not in json.dumps(call["payload"])
+
+    def test_preflight_names_every_missing_key(self, monkeypatch):
+        monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)
+        monkeypatch.delenv("TEST_GATEWAY_KEY_2", raising=False)
+        monkeypatch.setenv("TEST_GATEWAY_KEY_3", "sk-present")
+        configs = [
+            ModelConfig(name="m0", api_key_env="TEST_GATEWAY_KEY"),
+            ModelConfig(name="m1", api_key_env="TEST_GATEWAY_KEY_2"),
+            ModelConfig(name="m2", api_key_env="TEST_GATEWAY_KEY_3"),
+            ModelConfig(name="m3"),
+        ]
+        with pytest.raises(GatewayError) as info:
+            require_api_keys(configs)
+        message = str(info.value)
+        assert "TEST_GATEWAY_KEY (model m0)" in message
+        assert "TEST_GATEWAY_KEY_2 (model m1)" in message
+        assert "TEST_GATEWAY_KEY_3" not in message
+        require_api_keys(configs[2:])
 
     def test_missing_api_key_env(self, monkeypatch):
         monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)

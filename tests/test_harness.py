@@ -15,6 +15,7 @@ from refscore.harness import (
     read_matrix,
     run_stages,
 )
+from refscore import gateway
 from refscore.gateway import ModelConfig
 from refscore.synth import make_synthetic_corpus
 
@@ -316,6 +317,40 @@ class TestScoreCaching:
         assert any(cache_dir.rglob("*.json"))
         run_stages(cfg, ("score",))
         assert (cfg.out_dir / "records.jsonl").read_bytes() == first
+
+
+class TestScorePreflight:
+    LIVE_MODELS = [
+        {"name": "live-a", "base_url": "http://127.0.0.1:9", "api_key_env": "REFSCORE_TEST_KEY_A"},
+        {"name": "live-b", "base_url": "http://127.0.0.1:9", "api_key_env": "REFSCORE_TEST_KEY_B"},
+        {"name": "keyless", "base_url": "http://127.0.0.1:9"},
+    ]
+
+    def test_missing_api_keys_fail_before_any_request(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REFSCORE_TEST_KEY_A", raising=False)
+        monkeypatch.delenv("REFSCORE_TEST_KEY_B", raising=False)
+        calls = []
+        monkeypatch.setattr(gateway, "default_transport", lambda *args: calls.append(args))
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+        cfg_path = write_config(tmp_path, corpus, models=self.LIVE_MODELS, mock=False)
+        assert main(["ingest", "--config", str(cfg_path)]) == 0
+        assert main(["score", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "REFSCORE_TEST_KEY_A (model live-a)" in err
+        assert "REFSCORE_TEST_KEY_B (model live-b)" in err
+        assert calls == []
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failure"]["stage"] == "score"
+        assert "REFSCORE_TEST_KEY_A" in manifest["failure"]["error"]
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_mock_runs_need_no_keys(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REFSCORE_TEST_KEY_A", raising=False)
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+        models = [{"name": "mock-a", "api_key_env": "REFSCORE_TEST_KEY_A"}, {"name": "mock-b"}]
+        cfg = load_config(write_config(tmp_path, corpus, models=models))
+        manifest = run_stages(cfg, ("ingest", "score"))
+        assert manifest["failure"] is None
 
 
 class TestCli:

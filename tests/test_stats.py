@@ -109,6 +109,74 @@ class TestMidranks2d:
             midranks_2d(np.zeros(shape))
 
 
+def stable_midranks_2d(values):
+    # reference: one stable argsort along axis 0, tie-group bounds carried
+    # to every member by running maxima and minima of the sorted positions
+    x = np.asarray(values, dtype=float)
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(x, order, axis=0)
+    new_group = np.ones(x.shape, dtype=bool)
+    new_group[1:] = sorted_x[1:] != sorted_x[:-1]
+    pos = np.arange(n)[:, None]
+    starts = np.maximum.accumulate(np.where(new_group, pos, 0), axis=0)
+    last = np.ones(x.shape, dtype=bool)
+    last[:-1] = new_group[1:]
+    ends = np.minimum.accumulate(np.where(last, pos, n - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty(x.shape, dtype=float)
+    np.put_along_axis(ranks, order, 0.5 * (starts + ends) + 1.0, axis=0)
+    return ranks
+
+
+class TestMidranks2dUnstableSort:
+    """The unstable-sort kernel gives the stable-sort kernel's ranks bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(values):
+        expected = stable_midranks_2d(values)
+        out = midranks_2d(values)
+        assert out.shape == expected.shape
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (5, 0), (1, 1), (1, 6)])
+    def test_empty_and_single_row_shapes(self, shape):
+        self.assert_same_bits(np.ones(shape))
+
+    def test_tie_heavy_half_star_data(self):
+        rng = np.random.default_rng(45)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            m = int(rng.integers(1, 60))
+            # column means of 1-3 half-star scores, as in the score matrix
+            k = int(rng.integers(1, 4))
+            self.assert_same_bits(rng.integers(2, 9, size=(k, n, m)).mean(axis=0) / 2.0)
+
+    def test_nan_signed_zero_and_infinities(self):
+        rng = np.random.default_rng(46)
+        pool = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, -1.0])
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(1, 10))
+            self.assert_same_bits(rng.choice(pool, size=(n, m)))
+        # NaNs rank by position, each in a group of its own
+        assert np.array_equal(
+            midranks_2d(np.array([[np.nan], [1.0], [np.nan], [-0.0], [0.0]]))[:, 0],
+            [4.0, 3.0, 5.0, 1.5, 1.5],
+        )
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(47)
+        values = rng.integers(0, 4, size=(50, 40)).astype(float)
+        self.assert_same_bits(values.T)
+        self.assert_same_bits(values[::3, 1::2])
+        self.assert_same_bits(np.asfortranarray(values))
+
+    def test_untied_random_data(self):
+        rng = np.random.default_rng(48)
+        self.assert_same_bits(rng.normal(size=(72, 400)))
+
+
 class TestSpearman:
     def test_identity_is_one(self):
         assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)

@@ -9,12 +9,10 @@ from .corpus import (
     ExemplarArticle,
     FewShotPool,
     GoldStandard,
-    build_proxy_gold,
     filter_eligible,
     load_articles,
     load_fewshot_pool,
     load_gold_csv,
-    norm_reference,
     sample_per_uoa,
 )
 from .extract import (

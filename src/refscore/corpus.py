@@ -8,15 +8,11 @@ with the article keys plus ``star``.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .util import substream
+from .util import json_objects, substream
 
 DEFAULT_UNITS = (1, 2, 3, 4, 5, 6)
 STAR_LEVELS = (1, 2, 3, 4)
@@ -29,9 +25,6 @@ GOLD_KINDS = (PROXY, INDIVIDUAL)
 #: the star scale every score and gold value lies on
 SCORE_MIN = 1.0
 SCORE_MAX = 4.0
-
-# 9-point review scales map onto [1, 4] with this slope
-_NINE_POINT_SLOPE = 3.0 / 8.0
 
 
 @dataclass(frozen=True)
@@ -194,21 +187,6 @@ def _parse_article(obj: dict, line_no: int, units) -> Article:
     return Article(id=art_id, uoa=uoa, title=title, abstract=abstract, doi=doi)
 
 
-def _json_objects(path: str | Path):
-    """Yield (line number, object) for each non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"line {line_no}: expected a JSON object")
-            yield line_no, obj
-
-
 def load_articles(path: str | Path, units=DEFAULT_UNITS) -> ArticleSet:
     """Read an article JSONL file.
 
@@ -217,7 +195,7 @@ def load_articles(path: str | Path, units=DEFAULT_UNITS) -> ArticleSet:
     """
     articles: list[Article] = []
     seen: dict[str, int] = {}
-    for line_no, obj in _json_objects(path):
+    for line_no, obj in json_objects(path):
         art = _parse_article(obj, line_no, units)
         if art.id in seen:
             raise ValueError(
@@ -278,62 +256,6 @@ def sample_per_uoa(article_set: ArticleSet, n: int, seed: int) -> ArticleSet:
     return article_set.replace(kept)
 
 
-def build_proxy_gold(article_set: ArticleSet, submissions: dict[str, list[float]]) -> GoldStandard:
-    """Departmental-proxy gold: mean of each article's submission-level mean scores.
-
-    Every key of ``submissions`` must exist in the set. Articles in the
-    set without submission scores are excluded with a warning.
-    """
-    for art_id in submissions:
-        if art_id not in article_set:
-            raise ValueError(f"submission scores for unknown article {art_id!r}")
-    scores: dict[str, float] = {}
-    for art in article_set:
-        values = submissions.get(art.id)
-        if values is None:
-            warnings.warn(
-                f"article {art.id!r} has no submission scores; excluded from gold",
-                stacklevel=2,
-            )
-            continue
-        if len(values) == 0:
-            raise ValueError(f"article {art.id!r} has an empty submission score list")
-        scores[art.id] = float(np.mean(values))
-    return GoldStandard(PROXY, scores)
-
-
-def norm_reference(
-    raw_scores: dict[str, float],
-    article_set: ArticleSet,
-    targets: dict[int, float],
-) -> GoldStandard:
-    """Norm-reference 9-point review scores onto the [1, 4] star scale.
-
-    Applies s' = 1 + (s - 1) * 3/8, then shifts each uoa additively so its
-    mean equals the configured target, and clamps to [1, 4]. The article
-    set supplies each scored id's uoa.
-    """
-    by_uoa: dict[int, list[str]] = {}
-    for art_id, raw in raw_scores.items():
-        if art_id not in article_set:
-            raise ValueError(f"raw score for unknown article {art_id!r}")
-        if not (1.0 <= raw <= 9.0):
-            raise ValueError(f"raw score {raw} for {art_id!r} outside [1, 9]")
-        by_uoa.setdefault(article_set.by_id[art_id].uoa, []).append(art_id)
-    scores: dict[str, float] = {}
-    for uoa, ids in sorted(by_uoa.items()):
-        if uoa not in targets:
-            raise ValueError(f"no target mean configured for uoa {uoa}")
-        target = targets[uoa]
-        if not (SCORE_MIN <= target <= SCORE_MAX):
-            raise ValueError(f"target mean {target} for uoa {uoa} outside [1, 4]")
-        mapped = {i: 1.0 + (raw_scores[i] - 1.0) * _NINE_POINT_SLOPE for i in ids}
-        shift = target - float(np.mean(list(mapped.values())))
-        for art_id in ids:
-            scores[art_id] = float(np.clip(mapped[art_id] + shift, SCORE_MIN, SCORE_MAX))
-    return GoldStandard(INDIVIDUAL, scores)
-
-
 def load_gold_csv(path: str | Path, kind: str, article_set: ArticleSet | None = None) -> GoldStandard:
     """Read a gold CSV with header ``article_id,score``."""
     scores: dict[str, float] = {}
@@ -362,7 +284,7 @@ def load_fewshot_pool(path: str | Path, eval_set: ArticleSet) -> FewShotPool:
     cell present must hold exactly two exemplars.
     """
     exemplars: list[ExemplarArticle] = []
-    for line_no, obj in _json_objects(path):
+    for line_no, obj in json_objects(path):
         if "star" not in obj:
             raise ValueError(f"line {line_no}: missing key 'star'")
         star = obj["star"]

@@ -11,20 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import SCORE_MAX, SCORE_MIN
 from .stats import ColumnKey, ScoreCell, ScoreMatrix, midranks, midranks_2d, spearman
 from .util import substream
+
+#: every fusion weight lies in [WEIGHT_MIN, WEIGHT_MAX]
+WEIGHT_MIN = 0.0
+WEIGHT_MAX = 1.0
 
 
 @dataclass(frozen=True)
 class DEParams:
-    """DE/rand/1/bin hyperparameters. Bounds are per-weight box constraints."""
+    """DE/rand/1/bin hyperparameters."""
 
     population: int = 40
     mutation: float = 0.8
     crossover: float = 0.9
     generations: int = 200
-    lower: float = 0.0
-    upper: float = 1.0
 
     def __post_init__(self):
         if self.population < 4:
@@ -35,10 +38,6 @@ class DEParams:
             raise ValueError("crossover rate out of range")
         if self.generations < 1:
             raise ValueError("generations must be positive")
-        if not (self.lower < self.upper):
-            raise ValueError("lower bound must be below upper bound")
-        if self.lower < 0.0:
-            raise ValueError("weights must stay non-negative")
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,7 @@ def _fit_lockstep(columns, designs, golds, seeds, params: DEParams):
     np_ = params.population
     objective = _make_objective(designs, golds)
     population = np.stack([
-        substream(seed, "de-init").uniform(params.lower, params.upper, size=(np_, dim))
+        substream(seed, "de-init").uniform(WEIGHT_MIN, WEIGHT_MAX, size=(np_, dim))
         for seed in seeds
     ])
     fitness = objective(population)
@@ -250,7 +249,7 @@ def _fit_lockstep(columns, designs, golds, seeds, params: DEParams):
         mutants = population[fit_of, r1] + params.mutation * (
             population[fit_of, r2] - population[fit_of, r3]
         )
-        mutants.clip(params.lower, params.upper, out=mutants)
+        mutants.clip(WEIGHT_MIN, WEIGHT_MAX, out=mutants)
         trials = np.where(cross, mutants, population)
         trial_fits = objective(trials)
         improved = trial_fits >= fitness
@@ -289,7 +288,8 @@ def de_optimize(
     objective is non-decreasing generation over generation; every random
     draw comes from substreams of ``seed``, so the fit is reproducible.
 
-    Out-of-bound mutant components are projected onto the bounds.
+    Weights start uniform on [0, 1], and mutant components outside it are
+    clipped onto it.
     """
     _, columns, design, gold = _complete_design(matrix, gold_scores)
     fits, error = _fit_lockstep(columns, [design], [gold], [seed], params or DEParams())
@@ -465,7 +465,8 @@ def _ranks_within_uoa(
     for uoa, ids in sorted(by_uoa.items()):
         ids = sorted(ids)
         ranks = midranks([values[i] for i in ids])
-        for art_id, value in zip(ids, 1.0 + 3.0 * (ranks - 1.0) / max(len(ids) - 1.0, 1.0)):
+        spread = (SCORE_MAX - SCORE_MIN) * (ranks - 1.0) / max(len(ids) - 1.0, 1.0)
+        for art_id, value in zip(ids, SCORE_MIN + spread):
             scaled[art_id] = float(value)
     return scaled
 

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import SCORE_MAX, SCORE_MIN
 from .prompts import MessageSequence
 from .util import atomic_write_text, clamp, safe_name, seed_int, substream
 
@@ -418,7 +419,7 @@ def simulate_completion(
         raise ValueError("noise_sd must be non-negative")
     rng = substream(seed, "mock-report")
     noisy = latent_quality + (rng.normal(0.0, noise_sd) if noise_sd > 0 else 0.0)
-    score = _round_to_half(clamp(noisy, 1.0, 4.0))
+    score = _round_to_half(clamp(noisy, SCORE_MIN, SCORE_MAX))
     star = _fmt_star(score)
     topic = _TOPICS[int(rng.integers(len(_TOPICS)))]
     method = _METHOD_CLAUSES[int(rng.integers(len(_METHOD_CLAUSES)))]
@@ -445,7 +446,8 @@ def simulate_completion(
         )
 
     if style == "reasoning":
-        decoy = _fmt_star(_round_to_half(clamp(noisy + rng.normal(0.0, 0.7), 1.0, 4.0)))
+        decoy_score = clamp(noisy + rng.normal(0.0, 0.7), SCORE_MIN, SCORE_MAX)
+        decoy = _fmt_star(_round_to_half(decoy_score))
         return (
             f"<think> Okay, the study concerns {topic}. The design is {method}, "
             f"which supports the main claim. Is this {decoy}*? The framing is "
@@ -512,7 +514,8 @@ class MockBackend:
     def _latent_for(self, article_id: str) -> float:
         if article_id in self.latent:
             return self.latent[article_id]
-        return 1.0 + 3.0 * float(substream("mock-latent", article_id).random())
+        draw = float(substream("mock-latent", article_id).random())
+        return SCORE_MIN + (SCORE_MAX - SCORE_MIN) * draw
 
     def complete_task(self, task: CompletionTask, cfg: ModelConfig) -> tuple[str, int, float]:
         report_seed = seed_int(

@@ -56,9 +56,9 @@ from .prompts import (
 )
 from .stats import ScoreCell, ScoreMatrix, aggregate_across_units, correlate, mean_over_iterations
 from .synth import default_system_prompt
-from .util import atomic_write_text, safe_name, seed_int
+from .util import atomic_write_text, json_objects, safe_name, seed_int
 from .violin import emit_violin_svg, violin_summary
-from .wata import compare, kwic, tokenize
+from .wata import KWIC_SAMPLES, KWIC_TERMS, compare, kwic, tokenize
 
 SCHEMA_VERSION = 1
 STAGES = ("ingest", "prompt", "score", "extract", "analyze", "fuse", "wata", "violin")
@@ -87,9 +87,6 @@ class ExperimentConfig:
     mock_styles: dict[str, str] = field(default_factory=dict)
     cache_dir: Path | None = None
     wata_q_threshold: float = 0.05
-    wata_kwic_terms: int = 5
-    wata_kwic_samples: int = 5
-    wata_kwic_window: int = 60
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -160,9 +157,7 @@ _CONFIG_KEYS = {
     "top-level": frozenset(
         f.name for f in fields(ExperimentConfig) if not f.name.startswith(("mock_", "wata_"))
     ) | {"schema_version", "wata"},
-    # the weight bounds stay library-only until the manifest snapshot
-    # records them
-    "de": _field_names(DEParams) - {"lower", "upper"},
+    "de": _field_names(DEParams),
     "mock": _field_names(ExperimentConfig, "mock_") | {"enabled"},
     "wata": _field_names(ExperimentConfig, "wata_"),
     "gold": frozenset({"kind", "path"}),
@@ -248,10 +243,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
             bootstrap_reps=int, alpha=float, cv_folds=int,
         ),
         **_given(mock, "mock_", noise_sd=float, styles=dict),
-        **_given(
-            _known(raw.get("wata", {}), "wata"), "wata_",
-            q_threshold=float, kwic_terms=int, kwic_samples=int, kwic_window=int,
-        ),
+        **_given(_known(raw.get("wata", {}), "wata"), "wata_", q_threshold=float),
     )
 
 
@@ -328,8 +320,15 @@ def _write_jsonl(path: Path, rows) -> None:
 
 
 def _read_jsonl(path: Path, cls) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [cls(**json.loads(line)) for line in fh if line.strip()]
+    """One ``cls`` per line; a line that is not a valid ``cls`` fails naming
+    the file and the line."""
+    rows = []
+    for line_no, obj in json_objects(path):
+        try:
+            rows.append(cls(**obj))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return rows
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -378,11 +377,20 @@ def _call_index(article_id: str, iteration: int) -> int:
     return seed_int("call", article_id, iteration)
 
 
-def _user_text(cfg, article, strategy, iteration, pool) -> str:
-    if strategy == ZERO:
-        return build_zero_shot_user(article)
-    selection = select_fewshot(article, pool, cfg.seed, _call_index(article.id, iteration))
-    return build_few_shot_user(article, selection)
+def _user_prompts(cfg: ExperimentConfig, eval_set: ArticleSet, pool):
+    """Yield (article, strategy, iteration, user text) for every prompt of
+    the run, articles outermost, building each user text once."""
+    for article in eval_set:
+        for strategy in cfg.strategies:
+            for iteration in range(1, cfg.iterations + 1):
+                if strategy == ZERO:
+                    text = build_zero_shot_user(article)
+                else:
+                    selection = select_fewshot(
+                        article, pool, cfg.seed, _call_index(article.id, iteration)
+                    )
+                    text = build_few_shot_user(article, selection)
+                yield article, strategy, iteration, text
 
 
 def _uoa_map(eval_set: ArticleSet) -> dict[str, int]:
@@ -421,38 +429,27 @@ def stage_prompt(cfg: ExperimentConfig) -> dict:
     eval_set = _load_eval_set(cfg)
     pool = _load_pool(cfg, eval_set)
     written = 0
-    for article in eval_set:
+    for article, strategy, iteration, text in _user_prompts(cfg, eval_set, pool):
         art_dir = cfg.out_dir / "prompts" / safe_name(article.id)
-        for strategy in cfg.strategies:
-            for iteration in range(1, cfg.iterations + 1):
-                text = _user_text(cfg, article, strategy, iteration, pool)
-                atomic_write_text(art_dir / f"{strategy}-i{iteration}.txt", text)
-                written += 1
+        atomic_write_text(art_dir / f"{strategy}-i{iteration}.txt", text)
+        written += 1
     return {"prompts_written": written}
 
 
 def _build_tasks(cfg: ExperimentConfig, eval_set: ArticleSet, pool) -> list[CompletionTask]:
     system = _system_template(cfg)
-    by_model = {m.name: m for m in cfg.models}
-    tasks: list[CompletionTask] = []
-    for article in eval_set:
-        for model in sorted(by_model):
-            for strategy in cfg.strategies:
-                for iteration in range(1, cfg.iterations + 1):
-                    user = _user_text(cfg, article, strategy, iteration, pool)
-                    messages = compose_messages(
-                        system, user, by_model[model].supports_system_role
-                    )
-                    tasks.append(
-                        CompletionTask(
-                            article_id=article.id,
-                            model=model,
-                            strategy=strategy,
-                            iteration=iteration,
-                            messages=messages,
-                        )
-                    )
-    return tasks
+    models = sorted({m.name: m for m in cfg.models}.items())
+    return [
+        CompletionTask(
+            article_id=article.id,
+            model=name,
+            strategy=strategy,
+            iteration=iteration,
+            messages=compose_messages(system, user, model.supports_system_role),
+        )
+        for article, strategy, iteration, user in _user_prompts(cfg, eval_set, pool)
+        for name, model in models
+    ]
 
 
 def _mock_latent(cfg: ExperimentConfig) -> dict[str, float]:
@@ -810,7 +807,7 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
             for doc, rec in zip(tokenized[group], grouped[group])
         ]
         kwic_lines = [f"Keyword in context for comparison {name}", ""]
-        for s in stats[: cfg.wata_kwic_terms]:
+        for s in stats[:KWIC_TERMS]:
             kwic_lines.append(
                 f"== {s.term} (toward {s.direction}: {100 * s.rate_a:.1f}% vs "
                 f"{100 * s.rate_b:.1f}%) =="
@@ -820,8 +817,7 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
             samples = kwic(
                 s.term,
                 [(doc.doc_id, text) for doc, text in documents if s.term in doc.terms],
-                k=cfg.wata_kwic_samples,
-                window=cfg.wata_kwic_window,
+                k=KWIC_SAMPLES,
                 seed=seed_int(cfg.seed, "kwic", name),
             )
             for line in samples:

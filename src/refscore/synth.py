@@ -10,6 +10,7 @@ import io
 import json
 from pathlib import Path
 
+from .corpus import SCORE_MAX, SCORE_MIN, STAR_LEVELS
 from .util import atomic_write_text, clamp, substream
 
 _WORDS = (
@@ -78,7 +79,7 @@ def make_synthetic_corpus(
         for i in range(per_uoa):
             art_id = f"u{uoa}-a{i:04d}"
             articles.append(_make_article(rng, uoa, art_id))
-            latent[art_id] = 1.0 + 3.0 * float(rng.random())
+            latent[art_id] = SCORE_MIN + (SCORE_MAX - SCORE_MIN) * float(rng.random())
 
     articles_path = out_dir / "articles.jsonl"
     atomic_write_text(
@@ -93,7 +94,7 @@ def make_synthetic_corpus(
         art_id = art["id"]
         quality = latent[art_id]
         individual_rows.append((art_id, float(round(quality))))
-        proxy = clamp(quality + gold_rng.normal(0.0, 0.35), 1.0, 4.0)
+        proxy = clamp(quality + gold_rng.normal(0.0, 0.35), SCORE_MIN, SCORE_MAX)
         proxy_rows.append((art_id, round(proxy, 4)))
     individual_path = out_dir / "gold_individual.csv"
     atomic_write_text(individual_path, _gold_csv(individual_rows))
@@ -103,7 +104,7 @@ def make_synthetic_corpus(
     pool_rows: list[dict] = []
     for uoa in uoas:
         rng = substream(seed, "synth-pool", uoa)
-        for star in (1, 2, 3, 4):
+        for star in STAR_LEVELS:
             for copy in (1, 2):
                 art_id = f"u{uoa}-ex{star}{copy}"
                 art = _make_article(rng, uoa, art_id)

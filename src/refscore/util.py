@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import tempfile
@@ -56,6 +57,25 @@ def safe_name(name: str) -> str:
     characters other than ASCII letters, digits, ``.``, ``_`` and ``-``
     becomes ``_``."""
     return _UNSAFE_IN_NAME.sub("_", name)
+
+
+def json_objects(path: str | Path):
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    A line that is not valid JSON, or not a JSON object, raises a
+    ``ValueError`` naming the file and the line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {line_no}: expected a JSON object")
+            yield line_no, obj
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

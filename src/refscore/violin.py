@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SCORE_MAX, SCORE_MIN
+from .corpus import SCORE_MAX, SCORE_MIN, STAR_LEVELS
 
 GRID_POINTS = 101
-GOLD_LEVELS = (1, 2, 3, 4)
 
 _INTEGER_EPS = 1e-9
 
@@ -102,7 +101,7 @@ def violin_summary(scores: dict[str, float], gold_scores: dict[str, float]) -> V
         if art_id not in scores:
             continue
         level = round(gold)
-        if abs(gold - level) > _INTEGER_EPS or level not in GOLD_LEVELS:
+        if abs(gold - level) > _INTEGER_EPS or level not in STAR_LEVELS:
             discarded += 1
             continue
         grouped.setdefault(int(level), []).append(scores[art_id])
@@ -172,7 +171,7 @@ def emit_violin_svg(summary: ViolinSummary, title: str = "Model scores by gold l
         f'<line x1="{_fmt(axis_x)}" y1="{_fmt(y_of(SCORE_MAX))}" '
         f'x2="{_fmt(axis_x)}" y2="{_fmt(y_of(SCORE_MIN))}" stroke="black"/>'
     )
-    for tick in GOLD_LEVELS:
+    for tick in STAR_LEVELS:
         ty = y_of(float(tick))
         parts.append(
             f'<line x1="{_fmt(axis_x - 4)}" y1="{_fmt(ty)}" x2="{_fmt(axis_x)}" '

@@ -20,6 +20,13 @@ _TOKEN = re.compile(r"[a-z0-9]+")
 MIN_TERM_LENGTH = 2
 MIN_DOC_FREQ = 5
 
+#: a comparison's keyword-in-context listing covers its strongest
+#: KWIC_TERMS terms, samples KWIC_SAMPLES occurrences of each and shows
+#: KWIC_WINDOW characters of context on either side
+KWIC_TERMS = 5
+KWIC_SAMPLES = 5
+KWIC_WINDOW = 60
+
 DIRECTION_A = "A"
 DIRECTION_B = "B"
 
@@ -167,7 +174,7 @@ class KwicLine:
     right: str
 
 
-def kwic(term: str, documents, k: int, window: int = 60, seed: int = 0) -> list[KwicLine]:
+def kwic(term: str, documents, k: int, window: int = KWIC_WINDOW, seed: int = 0) -> list[KwicLine]:
     """Sample up to ``k`` occurrences of ``term`` with character context.
 
     ``documents`` is an iterable of (doc_id, text) pairs. Term matching

@@ -39,9 +39,10 @@ def test_zero_override_is_rejected_not_replaced(config_path, flag, capsys):
         ({"de": {"upper": 2.0}}, "upper"),
         ({"mock": {"enabled": True, "noise": 0.3}}, "noise"),
         ({"wata": {"kwic_term": 3}}, "kwic_term"),
+        ({"wata": {"kwic_window": 40}}, "kwic_window"),
         ({"golds": [{"kind": "individual", "path": "g.csv", "weight": 1}]}, "weight"),
     ],
-    ids=["top-level", "model", "de", "de-bounds", "mock", "wata", "gold"],
+    ids=["top-level", "model", "de", "de-bounds", "mock", "wata", "wata-kwic", "gold"],
 )
 def test_misspelt_key_is_rejected_by_name(tmp_path, extra, key, capsys):
     corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
@@ -62,8 +63,8 @@ def test_every_dataclass_option_is_accepted(tmp_path):
             "supports_system_role": False, "temperature": 0.2,
             "max_output_tokens": 64, "request_timeout": 5.0,
         }],
-        wata={"q_threshold": 0.1, "kwic_terms": 3, "kwic_samples": 2, "kwic_window": 40},
+        wata={"q_threshold": 0.1},
     ))
     assert cfg.de.crossover == 0.7
     assert cfg.models[0].temperature == 0.2
-    assert cfg.wata_kwic_window == 40
+    assert cfg.wata_q_threshold == 0.1

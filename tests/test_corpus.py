@@ -1,5 +1,4 @@
 """Tests for article ingestion, filtering, sampling and gold standards."""
-import numpy as np
 import pytest
 
 from refscore.corpus import (
@@ -9,12 +8,10 @@ from refscore.corpus import (
     ArticleSet,
     FewShotPool,
     GoldStandard,
-    build_proxy_gold,
     filter_eligible,
     load_articles,
     load_fewshot_pool,
     load_gold_csv,
-    norm_reference,
     sample_per_uoa,
 )
 
@@ -209,87 +206,6 @@ class TestSamplePerUoa:
         assert len(sample_per_uoa(aset, 0, seed=0)) == 0
         with pytest.raises(ValueError, match="non-negative"):
             sample_per_uoa(aset, -1, seed=0)
-
-
-class TestBuildProxyGold:
-    def test_single_submission_mean(self):
-        aset = make_set(n=1, uoas=(1,))
-        gold = build_proxy_gold(aset, {"u1-a000": [3.1]})
-        assert gold.kind == PROXY
-        assert gold.scores["u1-a000"] == pytest.approx(3.1)
-
-    def test_mean_of_submission_means(self):
-        aset = make_set(n=1, uoas=(1,))
-        gold = build_proxy_gold(aset, {"u1-a000": [3.0, 3.4]})
-        assert gold.scores["u1-a000"] == pytest.approx(3.2)
-
-    def test_unscored_article_excluded_with_warning(self):
-        aset = make_set(n=2, uoas=(1,))
-        with pytest.warns(UserWarning, match="u1-a001"):
-            gold = build_proxy_gold(aset, {"u1-a000": [2.0]})
-        assert "u1-a001" not in gold.scores
-
-    def test_unknown_article_rejected(self):
-        aset = make_set(n=1, uoas=(1,))
-        with pytest.raises(ValueError, match="unknown article"):
-            build_proxy_gold(aset, {"ghost": [2.0]})
-
-    def test_empty_submission_list_rejected(self):
-        aset = make_set(n=1, uoas=(1,))
-        with pytest.raises(ValueError, match="empty"):
-            build_proxy_gold(aset, {"u1-a000": []})
-
-
-class TestNormReference:
-    def test_nine_maps_to_four(self):
-        aset = make_set(n=3, uoas=(1,))
-        raw = {a: 9.0 for a in aset.ids()}
-        gold = norm_reference(raw, aset, {1: 4.0})
-        assert gold.kind == INDIVIDUAL
-        assert all(v == pytest.approx(4.0) for v in gold.scores.values())
-
-    def test_affine_map_with_zero_shift(self):
-        aset = make_set(n=3, uoas=(1,))
-        ids = aset.ids()
-        raw = dict(zip(ids, (1.0, 5.0, 9.0)))
-        gold = norm_reference(raw, aset, {1: 2.5})
-        assert [gold.scores[i] for i in ids] == pytest.approx([1.0, 2.5, 4.0])
-
-    def test_uoa_mean_matches_target(self):
-        aset = make_set(n=20, uoas=(1, 2))
-        rng = np.random.default_rng(5)
-        raw = {a: float(rng.uniform(4.0, 6.0)) for a in aset.ids()}
-        targets = {1: 2.2, 2: 3.1}
-        gold = norm_reference(raw, aset, targets)
-        for uoa, members in aset.by_uoa().items():
-            mean = np.mean([gold.scores[a.id] for a in members])
-            assert mean == pytest.approx(targets[uoa], abs=1e-9)
-
-    def test_rank_order_preserved_within_uoa(self):
-        aset = make_set(n=15, uoas=(1,))
-        rng = np.random.default_rng(11)
-        raw = {a: float(rng.uniform(3.0, 7.0)) for a in aset.ids()}
-        gold = norm_reference(raw, aset, {1: 2.5})
-        ids = sorted(raw, key=raw.get)
-        mapped = [gold.scores[i] for i in ids]
-        assert all(x <= y for x, y in zip(mapped, mapped[1:]))
-
-    def test_clipped_to_star_range(self):
-        aset = make_set(n=2, uoas=(1,))
-        ids = aset.ids()
-        gold = norm_reference(dict(zip(ids, (1.0, 9.0))), aset, {1: 4.0})
-        assert max(gold.scores.values()) <= 4.0
-
-    def test_error_cases(self):
-        aset = make_set(n=2, uoas=(1,))
-        with pytest.raises(ValueError, match="unknown article"):
-            norm_reference({"ghost": 5.0}, aset, {1: 2.5})
-        with pytest.raises(ValueError, match=r"outside \[1, 9\]"):
-            norm_reference({"u1-a000": 9.5}, aset, {1: 2.5})
-        with pytest.raises(ValueError, match="no target"):
-            norm_reference({"u1-a000": 5.0}, aset, {})
-        with pytest.raises(ValueError, match="target mean"):
-            norm_reference({"u1-a000": 5.0}, aset, {1: 4.5})
 
 
 class TestLoadGoldCsv:

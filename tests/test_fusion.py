@@ -268,8 +268,6 @@ class TestDeOptimize:
             DEParams(mutation=0.0)
         with pytest.raises(ValueError, match="crossover"):
             DEParams(crossover=1.5)
-        with pytest.raises(ValueError, match="non-negative"):
-            DEParams(lower=-0.5)
 
     def test_weights_respect_bounds(self):
         rng = np.random.default_rng(10)
@@ -410,7 +408,7 @@ def sequential_de(design, gold, params, seed):
         return rhos
 
     np_, dim = params.population, design.shape[1]
-    population = substream(seed, "de-init").uniform(params.lower, params.upper, size=(np_, dim))
+    population = substream(seed, "de-init").uniform(0.0, 1.0, size=(np_, dim))
     fitness = objective(population)
     history = []
     rows = np.arange(np_)[:, None]
@@ -424,7 +422,7 @@ def sequential_de(design, gold, params, seed):
             picks[bad] = rng.integers(0, np_ - 1, size=(int(bad.sum()), 3))
         r1, r2, r3 = (picks + (picks >= rows)).T
         mutants = population[r1] + params.mutation * (population[r2] - population[r3])
-        mutants.clip(params.lower, params.upper, out=mutants)
+        mutants.clip(0.0, 1.0, out=mutants)
         cross = rng.random((np_, dim)) < params.crossover
         cross[rows[:, 0], rng.integers(0, dim, size=np_)] = True
         trials = np.where(cross, mutants, population)

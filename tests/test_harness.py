@@ -272,6 +272,22 @@ class TestStageIsolation:
         with pytest.raises(ValueError, match="no eligible"):
             run_stages(cfg, ("ingest",))
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda line: line[:40] + "\n", lambda line: line[:-2] + ', "error": "HTTP 500"}\n'],
+        ids=["truncated", "unexpected-field"],
+    )
+    def test_bad_record_line_names_file_and_line(self, tmp_path, corrupt):
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+        cfg = load_config(write_config(tmp_path, corpus))
+        run_stages(cfg, ("ingest", "score"))
+        path = cfg.out_dir / "records.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = corrupt(lines[2])
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"records\.jsonl: line 3: "):
+            run_stages(cfg, ("extract",))
+
     def test_unknown_stage_rejected(self, tmp_path):
         corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
         cfg = load_config(write_config(tmp_path, corpus))

@@ -55,18 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "iterations": args.iterations,
-        "concurrency": args.concurrency,
-        "strategy": args.strategy,
-        "mock": args.mock or None,
-        "cache_dir": args.cache_dir,
-        "out": args.out,
-    }
     try:
-        cfg = load_config(args.config, overrides)
-    except (OSError, ValueError, KeyError) as exc:
+        # the override flags reach load_config by their argparse names
+        cfg = load_config(args.config, vars(args))
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     stages = STAGES if args.command == "all" else (args.command,)

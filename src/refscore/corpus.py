@@ -161,45 +161,45 @@ class FewShotPool:
         return sum(len(v) for v in self.cells.values())
 
 
-def _parse_article(obj: dict, line_no: int, units) -> Article:
+def _parse_article(obj: dict, where: str, units) -> Article:
     for key in ("id", "uoa", "title", "abstract"):
         if key not in obj:
-            raise ValueError(f"line {line_no}: missing key {key!r}")
+            raise ValueError(f"{where}: missing key {key!r}")
     art_id = obj["id"]
     if not isinstance(art_id, str) or not art_id:
-        raise ValueError(f"line {line_no}: id must be a non-empty string")
+        raise ValueError(f"{where}: id must be a non-empty string")
     uoa = obj["uoa"]
     if not isinstance(uoa, int) or isinstance(uoa, bool):
-        raise ValueError(f"line {line_no}: uoa must be an integer")
+        raise ValueError(f"{where}: uoa must be an integer")
     if uoa not in units:
-        raise ValueError(f"line {line_no}: uoa {uoa} not in units {tuple(units)}")
+        raise ValueError(f"{where}: uoa {uoa} not in units {tuple(units)}")
     title = obj["title"]
     if not isinstance(title, str) or not title:
-        raise ValueError(f"line {line_no}: title must be a non-empty string")
+        raise ValueError(f"{where}: title must be a non-empty string")
     abstract = obj["abstract"]
     if abstract is None:
         abstract = ""
     if not isinstance(abstract, str):
-        raise ValueError(f"line {line_no}: abstract must be a string or null")
+        raise ValueError(f"{where}: abstract must be a string or null")
     doi = obj.get("doi")
     if doi is not None and (not isinstance(doi, str) or not doi):
-        raise ValueError(f"line {line_no}: doi must be a non-empty string or null")
+        raise ValueError(f"{where}: doi must be a non-empty string or null")
     return Article(id=art_id, uoa=uoa, title=title, abstract=abstract, doi=doi)
 
 
 def load_articles(path: str | Path, units=DEFAULT_UNITS) -> ArticleSet:
     """Read an article JSONL file.
 
-    Malformed records fail with the offending line number; duplicate ids
-    fail naming both lines. An empty file yields an empty set.
+    Malformed records fail naming the file and the offending line;
+    duplicate ids fail naming both lines. An empty file yields an empty set.
     """
     articles: list[Article] = []
     seen: dict[str, int] = {}
     for line_no, obj in json_objects(path):
-        art = _parse_article(obj, line_no, units)
+        art = _parse_article(obj, f"{path}: line {line_no}", units)
         if art.id in seen:
             raise ValueError(
-                f"duplicate article id {art.id!r} on lines {seen[art.id]} and {line_no}"
+                f"{path}: duplicate article id {art.id!r} on lines {seen[art.id]} and {line_no}"
             )
         seen[art.id] = line_no
         articles.append(art)
@@ -285,13 +285,14 @@ def load_fewshot_pool(path: str | Path, eval_set: ArticleSet) -> FewShotPool:
     """
     exemplars: list[ExemplarArticle] = []
     for line_no, obj in json_objects(path):
+        where = f"{path}: line {line_no}"
         if "star" not in obj:
-            raise ValueError(f"line {line_no}: missing key 'star'")
+            raise ValueError(f"{where}: missing key 'star'")
         star = obj["star"]
         if star not in STAR_LEVELS:
-            raise ValueError(f"line {line_no}: star must be one of {STAR_LEVELS}")
-        art = _parse_article(obj, line_no, eval_set.units)
+            raise ValueError(f"{where}: star must be one of {STAR_LEVELS}")
+        art = _parse_article(obj, where, eval_set.units)
         if art.id in eval_set:
-            raise ValueError(f"exemplar {art.id!r} overlaps the evaluation set")
+            raise ValueError(f"{where}: exemplar {art.id!r} overlaps the evaluation set")
         exemplars.append(ExemplarArticle(article=art, star=star))
     return FewShotPool(exemplars)

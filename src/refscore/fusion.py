@@ -7,7 +7,7 @@ via stratified cross-validation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .util import substream
 #: every fusion weight lies in [WEIGHT_MIN, WEIGHT_MAX]
 WEIGHT_MIN = 0.0
 WEIGHT_MAX = 1.0
+#: the columns of the fusion table, one per FusionRow field
+FUSION_COLUMNS = ("uoa", "mean", "median", "best-single", "rank-average", "cv-mean")
 
 
 @dataclass(frozen=True)
@@ -413,14 +415,8 @@ class FusionRow:
     cv_rho: float
 
     def as_mapping(self) -> dict[str, float | str]:
-        return {
-            "uoa": self.label,
-            "mean": self.mean_rho,
-            "median": self.median_rho,
-            "best-single": self.best_single_rho,
-            "rank-average": self.rank_average_rho,
-            "cv-mean": self.cv_rho,
-        }
+        # the fields are declared in column order
+        return dict(zip(FUSION_COLUMNS, astuple(self)))
 
 
 def fusion_row(

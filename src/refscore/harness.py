@@ -4,15 +4,18 @@ Stages communicate through files in the output directory, so each can be
 run on its own against a directory produced by earlier stages. With the
 mock backend and a fixed seed, every artifact is byte-identical across
 reruns; the manifest therefore carries no wall-clock timestamps and its
-config snapshot omits output/cache placement.
+config snapshot omits runtime settings such as output and cache placement.
 """
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -32,7 +35,7 @@ from .corpus import (
     sample_per_uoa,
 )
 from .extract import analyze_report
-from .fusion import DEParams, fusion_row, rank_normalized_pool
+from .fusion import FUSION_COLUMNS, DEParams, fusion_row, rank_normalized_pool
 from .gateway import (
     STATUS_OK,
     CompletionTask,
@@ -63,13 +66,21 @@ from .wata import KWIC_SAMPLES, KWIC_TERMS, compare, kwic, tokenize
 SCHEMA_VERSION = 1
 STAGES = ("ingest", "prompt", "score", "extract", "analyze", "fuse", "wata", "violin")
 
+
+class Gold(NamedTuple):
+    """One configured gold standard: its kind and its CSV file."""
+
+    kind: str
+    path: Path
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs, loadable from JSON with CLI overrides."""
 
     articles: Path
     out_dir: Path
-    golds: list[tuple[str, Path]] = field(default_factory=list)
+    golds: list[Gold] = field(default_factory=list)
     fewshot_pool: Path | None = None
     system_prompt: Path | None = None
     models: list[ModelConfig] = field(default_factory=list)
@@ -102,149 +113,139 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy {strategy!r}")
         if FEW in self.strategies and self.fewshot_pool is None:
             raise ValueError("few-shot strategy requires a fewshot_pool path")
-        kinds = [kind for kind, _ in self.golds]
+        kinds = [gold.kind for gold in self.golds]
         if len(set(kinds)) != len(kinds):
             raise ValueError("duplicate gold kinds configured")
-        for kind, _ in self.golds:
+        for kind in kinds:
             if kind not in GOLD_KINDS:
                 raise ValueError(f"unknown gold kind {kind!r}")
 
     def snapshot(self) -> dict:
-        """Config as recorded in the manifest. Output and cache placement are
-        runtime concerns, not experiment identity, so they are omitted."""
-        return {
-            "articles": self.articles.name,
-            "golds": [[kind, path.name] for kind, path in self.golds],
-            "fewshot_pool": self.fewshot_pool.name if self.fewshot_pool else None,
-            "system_prompt": self.system_prompt.name if self.system_prompt else None,
-            "models": [
-                {
-                    "name": m.name,
-                    "base_url": m.base_url,
-                    "supports_system_role": m.supports_system_role,
-                    "temperature": m.temperature,
-                    "max_output_tokens": m.max_output_tokens,
-                }
-                for m in self.models
-            ],
-            "strategies": list(self.strategies),
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "sample_per_uoa": self.sample_per_uoa,
-            "bootstrap_reps": self.bootstrap_reps,
-            "alpha": self.alpha,
-            "cv_folds": self.cv_folds,
-            "de": {
-                "population": self.de.population,
-                "mutation": self.de.mutation,
-                "crossover": self.de.crossover,
-                "generations": self.de.generations,
-            },
-            "mock": self.mock,
-            "mock_noise_sd": self.mock_noise_sd,
-            "wata_q_threshold": self.wata_q_threshold,
-        }
+        """Config as recorded in the manifest: every field but ``_RUNTIME``."""
+        return _dump(self)
 
 
-def _field_names(cls, prefix: str = "") -> frozenset[str]:
-    """Names of the fields of ``cls`` that start with ``prefix``, prefix dropped."""
-    return frozenset(f.name[len(prefix):] for f in fields(cls) if f.name.startswith(prefix))
+# placement, transport and concurrency settings, which are not experiment
+# identity, so the manifest leaves them out. mock_styles does change the
+# artifacts; it moves into the snapshot with the next re-pin of the golden
+# digests (ROADMAP item 5).
+_RUNTIME = {"out_dir", "cache_dir", "concurrency", "mock_styles", "api_key_env", "request_timeout"}
 
 
-# the keys a config file may hold at each level; nested "mock" and "wata"
-# objects fill the prefixed ExperimentConfig fields
-_CONFIG_KEYS = {
-    "top-level": frozenset(
-        f.name for f in fields(ExperimentConfig) if not f.name.startswith(("mock_", "wata_"))
-    ) | {"schema_version", "wata"},
-    "de": _field_names(DEParams),
-    "mock": _field_names(ExperimentConfig, "mock_") | {"enabled"},
-    "wata": _field_names(ExperimentConfig, "wata_"),
-    "gold": frozenset({"kind", "path"}),
-    "model": _field_names(ModelConfig),
+def _dump(value):
+    """``value`` as JSON data: dataclasses as objects without the runtime
+    set, tuples (a NamedTuple too) and lists as arrays, paths as file names."""
+    if is_dataclass(value):
+        return {k: _dump(v) for k, v in vars(value).items() if k not in _RUNTIME}
+    if isinstance(value, (list, tuple)):
+        return [_dump(v) for v in value]
+    if isinstance(value, Path):
+        return value.name
+    return value
+
+
+# what a value must be, by the type its field declares
+_EXPECTED = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string",
+    Path: "a non-empty path", list: "a list", tuple: "a list", dict: "an object",
 }
 
 
-def _known(raw, level: str, where: str | None = None) -> dict:
-    """``raw`` itself, once it is an object holding only keys ``level``
-    allows; a misspelt key would otherwise run with its default."""
-    where = where or level
+def _checked(tp, value, key: str, base: Path):
+    """``value`` as the annotation ``tp`` declares it, or a ValueError naming
+    ``key``. An int field takes no bool or fraction, a float field takes an
+    int as a float, and a relative path resolves against ``base``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # X | None
+        (tp,) = (a for a in args if a is not NoneType)
+        return None if value is None else _checked(tp, value, key, base)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        return origin(_checked(args[0], v, f"{key}[{i}]", base) for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {k: _checked(args[1], v, f"{key}.{k}", base) for k, v in value.items()}
+    if tp is Path and isinstance(value, (str, Path)) and str(value):
+        return base / value
+    if tp is float and type(value) in (int, float):
+        return float(value)
+    if type(value) is tp:
+        return value
+    if origin is None and tp not in _EXPECTED:
+        return _make(tp, _values(tp, value, key, base), key)
+    got = json.dumps(value, default=str)
+    raise ValueError(f"config key {key!r} must be {_EXPECTED[origin or tp]}, got {got}")
+
+
+def _values(cls, raw, where: str, base: Path, keys: dict[str, str] | None = None) -> dict:
+    """The fields of ``cls`` that the JSON object ``raw`` sets, each checked
+    against its annotation. ``keys`` maps each key ``raw`` may hold to the
+    field it sets; by default each field is a key of its own name."""
     if not isinstance(raw, dict):
-        raise ValueError(f"config {where} must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS[level])
+        raise ValueError(f"config key {where!r} must be an object, got {json.dumps(raw)}")
+    hints = get_type_hints(cls)
+    keys = keys or {name: name for name in hints}
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
-    return raw
+        raise ValueError(f"unknown config key {unknown[0]!r} in {where or 'top level'}")
+    return {
+        keys[key]: _checked(hints[keys[key]], value, f"{where}.{key}".lstrip("."), base)
+        for key, value in raw.items()
+    }
 
 
-def _given(raw: dict, prefix: str = "", **casts) -> dict:
-    """The keys of ``raw`` named in ``casts``, cast, as keyword arguments
-    ``prefix + key``. Absent keys are left out, so the dataclasses declare
-    every default."""
-    return {prefix + key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+def _make(cls, values: dict, where: str):
+    """``cls(**values)``, once ``values`` sets every field without a default."""
+    for name, param in inspect.signature(cls).parameters.items():
+        if param.default is param.empty and name not in values:
+            raise ValueError(f"missing config key {name!r} in {where or 'top level'}")
+    return cls(**values)
+
+
+def _prefixed(prefix: str) -> dict[str, str]:
+    return {
+        f.name.removeprefix(prefix): f.name
+        for f in fields(ExperimentConfig) if f.name.startswith(prefix)
+    }
+
+
+# the nested "mock" and "wata" objects fill the prefixed fields, and
+# "mock": {"enabled": ...} (or just "mock": true) the field "mock" itself;
+# every other field is a top-level key of its own name
+_NESTED = {"mock": {"enabled": "mock", **_prefixed("mock_")}, "wata": _prefixed("wata_")}
+_TOP_LEVEL = {
+    f.name: f.name for f in fields(ExperimentConfig)
+    if all(f.name not in keys.values() for keys in _NESTED.values())
+}
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a JSON config file; relative paths, including overridden output
-    and cache directories, resolve against its directory."""
+    and cache directories, resolve against its directory. ``overrides`` holds
+    the CLI options by their argparse names; None and other names are ignored.
+    A key that is unknown, missing or of the wrong type raises a ValueError
+    naming it."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        raw = _known(json.load(fh), "top-level")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"config schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
-        )
-    base = path.parent
-
-    def resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    def optional_path(key: str) -> Path | None:
-        return resolve(raw[key]) if raw.get(key) else None
-
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config file must be a JSON object")
+    if (version := raw.pop("schema_version", None)) != SCHEMA_VERSION:
+        raise ValueError(f"config schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    given = {k: v for k, v in (overrides or {}).items() if v is not None}
     for key in ("seed", "iterations", "concurrency", "cache_dir"):
-        if key in overrides:
-            raw[key] = overrides[key]
-    if "out" in overrides:
-        raw["out_dir"] = overrides["out"]
-    if "strategy" in overrides:
-        strategy = overrides["strategy"]
-        raw["strategies"] = STRATEGIES if strategy == "both" else (strategy,)
-    mock = raw.get("mock", {})
-    if isinstance(mock, bool):
-        mock = {"enabled": mock}
-    mock = _known(mock, "mock")
-    golds = [_known(g, "gold", f"golds[{i}]") for i, g in enumerate(raw.get("golds", []))]
-    models = [_known(m, "model", f"models[{i}]") for i, m in enumerate(raw.get("models", []))]
-    return ExperimentConfig(
-        articles=resolve(raw["articles"]),
-        out_dir=resolve(raw.get("out_dir", "out")),
-        golds=[(g["kind"], resolve(g["path"])) for g in golds],
-        fewshot_pool=optional_path("fewshot_pool"),
-        system_prompt=optional_path("system_prompt"),
-        cache_dir=optional_path("cache_dir"),
-        models=[
-            ModelConfig(name=m["name"], **{k: v for k, v in m.items() if k != "name"})
-            for m in models
-        ],
-        sample_per_uoa=raw.get("sample_per_uoa"),
-        de=DEParams(
-            **_given(
-                _known(raw.get("de", {}), "de"),
-                population=int, mutation=float, crossover=float, generations=int,
-            )
-        ),
-        mock=bool(overrides.get("mock") or mock.get("enabled")),
-        **_given(
-            raw,
-            strategies=tuple, iterations=int, concurrency=int, seed=int,
-            bootstrap_reps=int, alpha=float, cv_folds=int,
-        ),
-        **_given(mock, "mock_", noise_sd=float, styles=dict),
-        **_given(_known(raw.get("wata", {}), "wata"), "wata_", q_threshold=float),
-    )
+        if key in given:
+            raw[key] = given[key]
+    raw["out_dir"] = given.get("out", raw.get("out_dir", "out"))
+    if "strategy" in given:
+        raw["strategies"] = STRATEGIES if given["strategy"] == "both" else (given["strategy"],)
+    nested = {group: raw.pop(group, {}) for group in _NESTED}
+    if isinstance(nested["mock"], bool):
+        nested["mock"] = {"enabled": nested["mock"]}
+    values = _values(ExperimentConfig, raw, "", path.parent, _TOP_LEVEL)
+    for group, keys in _NESTED.items():
+        values.update(_values(ExperimentConfig, nested[group], group, path.parent, keys))
+    if given.get("mock"):
+        values["mock"] = True
+    return _make(ExperimentConfig, values, "")
 
 
 # --- manifest --------------------------------------------------------------
@@ -354,11 +355,10 @@ def _load_eval_set(cfg: ExperimentConfig) -> ArticleSet:
 
 
 def _load_golds(cfg: ExperimentConfig) -> dict[str, GoldStandard]:
-    golds: dict[str, GoldStandard] = {}
-    for kind, _ in cfg.golds:
-        path = _require(_gold_path(cfg, kind), "ingest")
-        golds[kind] = load_gold_csv(path, kind)
-    return golds
+    return {
+        kind: load_gold_csv(_require(_gold_path(cfg, kind), "ingest"), kind)
+        for kind, _ in cfg.golds
+    }
 
 
 def _load_pool(cfg: ExperimentConfig, eval_set: ArticleSet) -> FewShotPool | None:
@@ -654,9 +654,6 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
     }
 
 
-_FUSION_COLUMNS = ("uoa", "mean", "median", "best-single", "rank-average", "cv-mean")
-
-
 def stage_fuse(cfg: ExperimentConfig) -> dict:
     eval_set = _load_eval_set(cfg)
     golds = _load_golds(cfg)
@@ -719,11 +716,12 @@ def _weights_json(cv) -> list[dict]:
 
 
 def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
-    mappings = [row.as_mapping() for row in rows]
+    # each row as its label, then its values in FUSION_COLUMNS order
+    table = [list(row.as_mapping().values()) for row in rows]
     _write_csv(
         cfg.out_dir / f"fusion_{kind}.csv",
-        _FUSION_COLUMNS,
-        ([m["uoa"]] + [f"{m[c]:.6f}" for c in _FUSION_COLUMNS[1:]] for m in mappings),
+        FUSION_COLUMNS,
+        ([label] + [f"{v:.6f}" for v in values] for label, *values in table),
     )
     atomic_write_text(
         cfg.out_dir / f"fusion_{kind}_weights.json",
@@ -737,18 +735,11 @@ def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
         "The best value in each row is marked **like this**.",
         "",
     ]
-    header = f"{'uoa':>4}  " + "  ".join(f"{c:>14}" for c in _FUSION_COLUMNS[1:])
-    lines.append(header)
-    for mapping in mappings:
-        values = {c: mapping[c] for c in _FUSION_COLUMNS[1:]}
-        best = max(values.values())
-        cells = []
-        for c in _FUSION_COLUMNS[1:]:
-            text = f"{values[c]:.3f}"
-            if values[c] == best:
-                text = f"**{text}**"
-            cells.append(f"{text:>14}")
-        lines.append(f"{mapping['uoa']:>4}  " + "  ".join(cells))
+    lines.append(f"{FUSION_COLUMNS[0]:>4}  " + "  ".join(f"{c:>14}" for c in FUSION_COLUMNS[1:]))
+    for label, *values in table:
+        best = max(values)
+        cells = [f"**{v:.3f}**" if v == best else f"{v:.3f}" for v in values]
+        lines.append(f"{label:>4}  " + "  ".join(f"{c:>14}" for c in cells))
     atomic_write_text(
         cfg.out_dir / f"fusion_{kind}_summary.txt", "\n".join(lines) + "\n"
     )

@@ -1,4 +1,6 @@
 """Tests for article ingestion, filtering, sampling and gold standards."""
+import re
+
 import pytest
 
 from refscore.corpus import (
@@ -77,7 +79,7 @@ class TestLoadArticles:
         rows = [article_row(i) for i in range(5)]
         rows[4]["id"] = rows[1]["id"]
         path = write_jsonl(tmp_path / "arts.jsonl", rows)
-        with pytest.raises(ValueError, match=r"lines 2 and 5"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate") + ".*lines 2 and 5"):
             load_articles(path)
 
     def test_invalid_json_names_line(self, tmp_path):
@@ -91,14 +93,14 @@ class TestLoadArticles:
     def test_missing_key_names_line(self, tmp_path):
         rows = [article_row(0), {"id": "b", "uoa": 1, "title": "t"}]
         path = write_jsonl(tmp_path / "arts.jsonl", rows)
-        with pytest.raises(ValueError, match=r"line 2.*abstract"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2") + ".*abstract"):
             load_articles(path)
 
     def test_bad_uoa_type(self, tmp_path):
         path = write_jsonl(
             tmp_path / "arts.jsonl", [article_row(0, uoa="one")]
         )
-        with pytest.raises(ValueError, match="uoa must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: uoa must be an integer")):
             load_articles(path)
 
     def test_non_object_line(self, tmp_path):
@@ -283,13 +285,20 @@ class TestFewShotPool:
             dict(article_row(0), star=2)
         ]
         path = write_jsonl(tmp_path / "pool.jsonl", rows)
-        with pytest.raises(ValueError, match="overlaps"):
+        where = re.escape(f"{path}: line 17: exemplar")
+        with pytest.raises(ValueError, match=where + ".*overlaps"):
             load_fewshot_pool(path, eval_set)
 
     def test_bad_star_level(self, tmp_path, pool_rows):
         rows = pool_rows + [dict(pool_rows[0], id="ex-bad", star=5)]
         path = write_jsonl(tmp_path / "pool.jsonl", rows)
-        with pytest.raises(ValueError, match="star"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 17: star")):
+            load_fewshot_pool(path, make_set(n=2, uoas=(1, 2)))
+
+    def test_missing_star_names_file_and_line(self, tmp_path, pool_rows):
+        rows = pool_rows[:1] + [{k: v for k, v in pool_rows[1].items() if k != "star"}]
+        path = write_jsonl(tmp_path / "pool.jsonl", rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: missing key 'star'")):
             load_fewshot_pool(path, make_set(n=2, uoas=(1, 2)))
 
     def test_non_object_line(self, tmp_path, pool_rows):

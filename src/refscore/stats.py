@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy import stats as sps
 
 from .corpus import SCORE_MAX, SCORE_MIN
 from .gateway import STATUS_OK
@@ -213,15 +212,19 @@ def aggregate_across_units(rhos) -> tuple[float, float, float]:
     """Cross-unit mean correlation with a t-interval.
 
     The interval is mean +/- t(0.975, m-1) * sd / sqrt(m) over the per-unit
-    correlations, clipped to [-1, 1].
+    correlations, clipped to [-1, 1]. The t quantile is
+    ``scipy.special.stdtrit``, imported where it runs so that importing
+    refscore stays cheap.
     """
+    from scipy.special import stdtrit
+
     r = np.asarray(rhos, dtype=float)
     if r.ndim != 1 or len(r) < 2:
         raise ValueError("aggregate_across_units needs at least 2 unit correlations")
     m = len(r)
     mean = float(r.mean())
     sd = float(r.std(ddof=1))
-    half = float(sps.t.ppf(0.975, m - 1)) * sd / np.sqrt(m)
+    half = float(stdtrit(m - 1, 0.975)) * sd / np.sqrt(m)
     lo = max(-1.0, mean - half)
     hi = min(1.0, mean + half)
     return mean, lo, hi

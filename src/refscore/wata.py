@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .util import substream
 
@@ -87,12 +86,11 @@ def benjamini_hochberg(p_values) -> np.ndarray:
     p = np.asarray(p_values, dtype=float)
     m = len(p)
     order = np.argsort(p, kind="stable")
+    ranks = np.arange(1, m + 1)
+    # running minimum from the largest rank down, starting at 1; fmin skips NaN
+    scaled = np.fmin(1.0, p[order] * m / ranks)
     q = np.empty(m, dtype=float)
-    running = 1.0
-    for rank in range(m, 0, -1):
-        idx = order[rank - 1]
-        running = min(running, p[idx] * m / rank)
-        q[idx] = running
+    q[order] = np.fmin.accumulate(scaled[::-1])[::-1]
     return q
 
 
@@ -119,8 +117,12 @@ def compare(
     tested; q-values control the false discovery rate across all tested
     terms. Only terms with q <= ``q_threshold`` are returned, sorted by
     chi-square descending (ties by term). Direction names the corpus with
-    the higher containment rate.
+    the higher containment rate. p-values are the 1 d.f. chi-square upper
+    tail, ``scipy.special.chdtrc``, imported where it runs so that importing
+    refscore stays cheap.
     """
+    from scipy.special import chdtrc
+
     docs_a = list(corpus_a)
     docs_b = list(corpus_b)
     n_a, n_b = len(docs_a), len(docs_b)
@@ -145,7 +147,7 @@ def compare(
     chi2 = np.array(
         [_chi2_presence(df_a.get(t, 0), n_a, df_b.get(t, 0), n_b) for t in tested]
     )
-    p = sps.chi2.sf(chi2, df=1)
+    p = chdtrc(1, chi2)
     q = benjamini_hochberg(p)
     stats = []
     for i, term in enumerate(tested):

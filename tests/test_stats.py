@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats as sps
 
 from refscore import stats
 from refscore.stats import (
@@ -363,6 +364,15 @@ class TestAggregateAcrossUnits:
     def test_needs_two_values(self):
         with pytest.raises(ValueError, match="at least 2"):
             aggregate_across_units([0.4])
+
+    def test_t_quantile_is_scipy_stats_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for m in range(2, 501):
+            # a narrow spread keeps both endpoints inside the [-1, 1] clip
+            rhos = rng.uniform(0.29, 0.31, m)
+            mean = float(rhos.mean())
+            half = float(sps.t.ppf(0.975, m - 1)) * float(rhos.std(ddof=1)) / np.sqrt(m)
+            assert aggregate_across_units(rhos) == (mean, mean - half, mean + half)
 
 
 class TestBinomialTail:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import chdtrc
 
 from refscore.wata import (
     DIRECTION_A,
@@ -120,6 +121,58 @@ class TestBenjaminiHochberg:
 
     def test_single_p(self):
         assert benjamini_hochberg([0.03]) == pytest.approx([0.03])
+
+    @staticmethod
+    def bh_loop(p):
+        # the step-up loop benjamini_hochberg replaced, kept as the reference
+        p = np.asarray(p, dtype=float)
+        m = len(p)
+        order = np.argsort(p, kind="stable")
+        q = np.empty(m, dtype=float)
+        running = 1.0
+        for rank in range(m, 0, -1):
+            idx = order[rank - 1]
+            running = min(running, p[idx] * m / rank)
+            q[idx] = running
+        return q
+
+    @pytest.mark.parametrize("p", [
+        [0.01, 0.04, 0.04, 0.04, 0.2, 0.01, 0.5],
+        [1.0] * 6,
+        [0.03],
+        [0.02, np.nan, 0.01, 0.3, np.nan, 0.04],
+        [np.nan],
+        [0.0, 0.0, 1e-300, 0.9999999999999999],
+        [],
+    ], ids=["ties", "all_ones", "single", "nan", "only_nan", "extremes", "empty"])
+    def test_bit_identical_to_loop(self, p):
+        assert benjamini_hochberg(p).tobytes() == self.bh_loop(p).tobytes()
+
+    def test_bit_identical_to_loop_random(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            # rounding to a few digits makes ties common
+            p = np.round(rng.uniform(0, 1, int(rng.integers(1, 200))), 2)
+            assert benjamini_hochberg(p).tobytes() == self.bh_loop(p).tobytes()
+
+
+class TestChiSquareTail:
+    def test_chdtrc_is_scipy_stats_bit_for_bit(self):
+        grid = np.concatenate([
+            [0.0, 1e-300, 5e-324, 1e-10, 3.84, 3.841458820694124, 700.0, 1e4, np.inf],
+            np.linspace(0.0, 50.0, 5001),
+            np.geomspace(1e-12, 1e5, 2000),
+        ])
+        assert chdtrc(1, grid).tobytes() == sps.chi2.sf(grid, df=1).tobytes()
+
+    def test_compare_p_is_scipy_stats_chi2_sf(self):
+        rng = np.random.default_rng(12)
+        corpus_a = make_corpus("a", 150, {"strong": 0.9, "mild": 0.45, "flat": 0.3}, rng)
+        corpus_b = make_corpus("b", 150, {"strong": 0.05, "mild": 0.2, "flat": 0.3}, rng)
+        stats = compare(corpus_a, corpus_b, q_threshold=1.0)
+        assert len(stats) > 3
+        for s in stats:
+            assert s.p == float(sps.chi2.sf(s.chi2, df=1))
 
 
 class TestCompare:

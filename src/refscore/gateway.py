@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import os
 import time
@@ -19,6 +20,8 @@ from pathlib import Path
 from .corpus import SCORE_MAX, SCORE_MIN
 from .prompts import MessageSequence
 from .util import atomic_write_text, clamp, safe_name, seed_int, substream
+
+logger = logging.getLogger(__name__)
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -162,24 +165,23 @@ class ResponseCache:
     def load(self, model: str, key: str) -> dict | None:
         """The cached entry, or None on a miss. A file that is not valid
         JSON, or not an entry with usable ``text``, ``attempts`` and
-        ``latency_ms``, counts as a miss; the next :meth:`store`
-        overwrites it."""
+        ``latency_ms``, counts as a miss and is logged as a warning; the
+        next :meth:`store` overwrites it."""
         path = self.path_of(model, key)
         try:
             with open(path, encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except (FileNotFoundError, ValueError):
-            # ValueError: invalid or truncated JSON, or bytes that are not UTF-8
+        except FileNotFoundError:
             return None
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("text"), str)
-            and entry["text"]
-            and isinstance(entry.get("attempts"), int)
-            and isinstance(entry.get("latency_ms"), (int, float))
-        ):
-            return None
-        return entry
+        except ValueError as exc:
+            # invalid or truncated JSON, or bytes that are not UTF-8
+            problem = f"invalid JSON or not UTF-8: {exc}"
+        else:
+            problem = _entry_problem(entry)
+            if problem is None:
+                return entry
+        logger.warning("unusable cache entry %s (%s); treated as a miss", path, problem)
+        return None
 
     def store(self, model: str, key: str, text: str, attempts: int, latency_ms: float) -> None:
         entry = {
@@ -190,6 +192,19 @@ class ResponseCache:
             "stored_at": time.time(),
         }
         atomic_write_text(self.path_of(model, key), json.dumps(entry, ensure_ascii=False))
+
+
+def _entry_problem(entry) -> str | None:
+    """Why a decoded cache entry cannot be used, or None when it can."""
+    if not isinstance(entry, dict):
+        return "not a JSON object"
+    if not (isinstance(entry.get("text"), str) and entry["text"]):
+        return "missing or empty 'text'"
+    if not isinstance(entry.get("attempts"), int):
+        return "missing or invalid 'attempts'"
+    if not isinstance(entry.get("latency_ms"), (int, float)):
+        return "missing or invalid 'latency_ms'"
+    return None
 
 
 def default_transport(url: str, payload: dict, headers: dict, timeout: float):
@@ -308,11 +323,17 @@ def run_batch(
     cache: ResponseCache | None = None,
     backend=None,
 ) -> list[RawRecord]:
-    """Run completion tasks under a concurrency bound, reading/writing the cache.
+    """Run completion tasks, serving cache hits first and sending only misses.
 
-    Identical requests (same cache key) are executed once per batch. Failed
-    tasks yield failed records instead of aborting the batch. Records come
-    back in task order, exactly one per task.
+    Identical requests (same cache key) are executed once per batch. Cache
+    hits are read in the calling thread before any request is sent; only
+    the misses go to a worker pool, and ``concurrency_limit`` bounds those
+    requests to the backend. A fully cached batch starts no worker thread.
+    An unusable cache entry is logged as a warning and sent again. Failed
+    tasks yield failed records instead of aborting the batch, and are
+    never cached. Records come back in task order, exactly one per task.
+    One INFO line per batch counts tasks, distinct requests, cache hits,
+    requests sent and requests failed.
     """
     tasks = list(tasks)
     if concurrency_limit < 1:
@@ -326,13 +347,18 @@ def run_batch(
     for task, key in zip(tasks, keys):
         first_task_for.setdefault((task.model, key), task)
 
+    outcomes: dict[tuple[str, str], tuple[str, int, float] | GatewayError] = {}
+    misses: list[tuple[tuple[str, str], CompletionTask]] = []
+    for group_key, task in first_task_for.items():
+        hit = cache.load(*group_key) if cache is not None else None
+        if hit is None:
+            misses.append((group_key, task))
+        else:
+            outcomes[group_key] = (hit["text"], hit["attempts"], hit["latency_ms"])
+
     def execute(item) -> tuple[tuple[str, str], tuple[str, int, float] | GatewayError]:
         (model, key), task = item
         cfg = configs[model]
-        if cache is not None:
-            hit = cache.load(model, key)
-            if hit is not None:
-                return (model, key), (hit["text"], hit["attempts"], hit["latency_ms"])
         try:
             text, attempts, latency_ms = backend.complete_task(task, cfg)
         except GatewayError as exc:
@@ -341,10 +367,14 @@ def run_batch(
             cache.store(model, key, text, attempts, latency_ms)
         return (model, key), (text, attempts, latency_ms)
 
-    outcomes: dict[tuple[str, str], tuple[str, int, float] | GatewayError] = {}
-    with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
-        for group_key, outcome in pool.map(execute, first_task_for.items()):
-            outcomes[group_key] = outcome
+    if misses:
+        with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
+            outcomes.update(pool.map(execute, misses))
+    logger.info(
+        "batch: %d tasks, %d distinct requests, %d cache hits, %d sent, %d failed",
+        len(tasks), len(first_task_for), len(first_task_for) - len(misses), len(misses),
+        sum(isinstance(outcome, GatewayError) for outcome in outcomes.values()),
+    )
 
     records: list[RawRecord] = []
     for task, key in zip(tasks, keys):

@@ -1,11 +1,13 @@
 """Tests for the completion gateway: keys, cache, retries, batching, mock."""
 import http.server
 import json
+import logging
 import threading
 import time
 
 import pytest
 
+from refscore import gateway
 from refscore.extract import analyze_report
 from refscore.gateway import (
     MAX_ATTEMPTS,
@@ -121,8 +123,10 @@ class TestResponseCache:
         assert entry["attempts"] == 2
         assert entry["latency_ms"] == 14.5
 
-    def test_missing_entry_is_none(self, tmp_path):
+    def test_missing_entry_is_none(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="refscore.gateway")
         assert ResponseCache(tmp_path).load("m0", "nope") is None
+        assert caplog.records == []
 
     def test_layout_one_file_per_key_under_model_dir(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -138,18 +142,19 @@ class TestResponseCache:
         assert (tmp_path / "org_model_v1" / "k.json").is_file()
 
     @pytest.mark.parametrize(
-        "content",
+        "content, reason",
         [
-            '{"key": "k", "text": "Score: 2*", "attem',
-            "",
-            "[1, 2]",
-            '{"key": "k", "attempts": 1, "latency_ms": 0.0}',
-            '{"key": "k", "text": "Score: 2*", "latency_ms": 0.0}',
-            b"\xff\xfe not utf-8",
+            ('{"key": "k", "text": "Score: 2*", "attem', "invalid JSON or not UTF-8"),
+            ("", "invalid JSON or not UTF-8"),
+            ("[1, 2]", "not a JSON object"),
+            ('{"key": "k", "attempts": 1, "latency_ms": 0.0}', "'text'"),
+            ('{"key": "k", "text": "Score: 2*", "latency_ms": 0.0}', "'attempts'"),
+            ('{"key": "k", "text": "Score: 2*", "attempts": 1, "latency_ms": "0"}', "'latency_ms'"),
+            (b"\xff\xfe not utf-8", "invalid JSON or not UTF-8"),
         ],
-        ids=["truncated", "empty", "not-an-object", "no-text", "no-attempts", "not-utf8"],
+        ids=["truncated", "empty", "not-an-object", "no-text", "no-attempts", "bad-latency", "not-utf8"],
     )
-    def test_unusable_entry_is_a_miss(self, tmp_path, content):
+    def test_unusable_entry_is_a_miss(self, tmp_path, caplog, content, reason):
         cache = ResponseCache(tmp_path)
         path = cache.path_of("m0", "k")
         path.parent.mkdir(parents=True)
@@ -157,7 +162,12 @@ class TestResponseCache:
             path.write_bytes(content)
         else:
             path.write_text(content, encoding="utf-8")
+        caplog.set_level(logging.DEBUG, logger="refscore.gateway")
         assert cache.load("m0", "k") is None
+        [warning] = caplog.records
+        assert warning.levelno == logging.WARNING
+        assert str(path) in warning.getMessage()
+        assert reason in warning.getMessage()
 
 
 class TestRequestCompletion:
@@ -322,6 +332,25 @@ class CountingBackend:
         return self.text, 1, 1.0
 
 
+class GaugeBackend(CountingBackend):
+    """Records the peak number of calls in flight at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+
+    def complete_task(self, task, cfg):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(0.02)
+        with self.lock:
+            self.active -= 1
+            return super().complete_task(task, cfg)
+
+
 class TestRunBatch:
     CONFIGS = {"m0": ModelConfig(name="m0"), "m1": ModelConfig(name="m1")}
 
@@ -351,6 +380,57 @@ class TestRunBatch:
         second = run_batch(tasks, self.CONFIGS, cache=cache, backend=cold_backend)
         assert cold_backend.calls == []
         assert second == first
+
+    def test_warm_batch_starts_no_pool(self, tmp_path, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a fully cached batch must not start a pool")
+
+        cache = ResponseCache(tmp_path)
+        tasks = [make_task(article_id=f"a{i}", iteration=j) for i in range(4) for j in (1, 2)]
+        cold = run_batch(tasks + tasks[:3], self.CONFIGS, cache=cache, backend=CountingBackend())
+        monkeypatch.setattr(gateway, "ThreadPoolExecutor", NoPool)
+        warm = run_batch(tasks + tasks[:3], self.CONFIGS, cache=cache, backend=CountingBackend())
+        assert warm == cold
+
+    def test_mixed_batch_sends_only_the_misses(self, tmp_path):
+        backend = GaugeBackend()
+        cache = ResponseCache(tmp_path)
+        distinct = [make_task(article_id=f"a{i}") for i in range(16)]
+        for i, task in enumerate(distinct[::2]):
+            cache.store("m0", cache_key(task, self.CONFIGS["m0"]), "Score: 2*", 3, 100.0 + i)
+        tasks = distinct + distinct[::-1]
+        records = run_batch(tasks, self.CONFIGS, concurrency_limit=3, cache=cache, backend=backend)
+        assert sorted(backend.calls) == sorted(t.key for t in distinct[1::2])
+        assert [r.key for r in records] == [t.key for t in tasks]
+        for record in records[:16]:
+            index = int(record.article_id[1:])
+            if index % 2 == 0:
+                assert (record.text, record.attempts, record.latency_ms) == (
+                    "Score: 2*", 3, 100.0 + index // 2
+                )
+            else:
+                assert (record.text, record.attempts, record.latency_ms) == ("Score: 3*", 1, 1.0)
+        assert records[16:] == records[15::-1]
+        assert 2 <= backend.peak <= 3
+
+    def test_batch_logs_one_summary_line(self, tmp_path, caplog):
+        class FlakyBackend(CountingBackend):
+            def complete_task(self, task, cfg):
+                if task.article_id == "a3":
+                    raise GatewayError("boom", status=500, attempts=5)
+                return super().complete_task(task, cfg)
+
+        cache = ResponseCache(tmp_path)
+        tasks = [make_task(article_id=f"a{i}") for i in range(4)]
+        run_batch(tasks[:2], self.CONFIGS, cache=cache, backend=CountingBackend())
+        caplog.set_level(logging.INFO, logger="refscore.gateway")
+        run_batch(tasks + tasks[:1], self.CONFIGS, cache=cache, backend=FlakyBackend())
+        [line] = caplog.records
+        assert line.levelno == logging.INFO
+        assert line.getMessage() == (
+            "batch: 5 tasks, 4 distinct requests, 2 cache hits, 2 sent, 1 failed"
+        )
 
     def test_corrupt_cache_file_is_a_miss_and_rewritten(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -393,23 +473,11 @@ class TestRunBatch:
         assert records[0].status == STATUS_OK
 
     def test_concurrency_stays_under_the_limit(self):
-        lock = threading.Lock()
-        state = {"active": 0, "peak": 0}
-
-        class GaugeBackend:
-            def complete_task(self, task, cfg):
-                with lock:
-                    state["active"] += 1
-                    state["peak"] = max(state["peak"], state["active"])
-                time.sleep(0.02)
-                with lock:
-                    state["active"] -= 1
-                return "Score: 3*", 1, 1.0
-
+        backend = GaugeBackend()
         tasks = [make_task(article_id=f"a{i}") for i in range(12)]
-        run_batch(tasks, self.CONFIGS, concurrency_limit=3, backend=GaugeBackend())
-        assert state["peak"] <= 3
-        assert state["peak"] >= 2
+        run_batch(tasks, self.CONFIGS, concurrency_limit=3, backend=backend)
+        assert backend.peak <= 3
+        assert backend.peak >= 2
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="ModelConfig"):

@@ -1,26 +1,16 @@
 """Command line entry point.
 
-One subcommand per pipeline stage plus ``all``. Shared flags override the
-JSON config, so the same config file drives live and mock runs.
+One subcommand per stage of ``harness.PIPELINE``, with that stage's help
+line, plus ``all``, which runs every stage in order. Shared flags override
+the JSON config, so the same config file drives live and mock runs. A
+failed run names the stage that failed and exits 1; a config error exits 2.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .harness import STAGES, load_config, run_stages
-
-_STAGE_HELP = {
-    "ingest": "load, filter and sample articles; validate gold files",
-    "prompt": "write per-article prompt dumps for audit",
-    "score": "run the completion batch (live endpoints or --mock)",
-    "extract": "parse raw reports into scores and flags",
-    "analyze": "build the score matrix and correlation tables",
-    "fuse": "fit and cross-validate fusion weights",
-    "wata": "contrast report term usage between corpora",
-    "violin": "render score distributions by gold level",
-    "all": "run every stage in order",
-}
+from .harness import PIPELINE, STAGES, load_config, run_stages
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,8 +19,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Score journal articles with LLMs and evaluate the results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*STAGES, "all"):
-        cmd = sub.add_parser(name, help=_STAGE_HELP[name])
+    helps = {name: stage.help for name, stage in PIPELINE.items()}
+    for name, help_text in {**helps, "all": "run every stage in order"}.items():
+        cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
         cmd.add_argument(
@@ -61,12 +52,13 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    stages = STAGES if args.command == "all" else (args.command,)
-    try:
-        manifest = run_stages(cfg, stages)
-    except Exception as exc:
-        print(f"run failed during {'/'.join(stages)}: {exc}", file=sys.stderr)
-        return 1
+    # one stage per call, so a failure names its stage
+    for name in STAGES if args.command == "all" else (args.command,):
+        try:
+            manifest = run_stages(cfg, (name,))
+        except Exception as exc:
+            print(f"run failed during {name}: {exc}", file=sys.stderr)
+            return 1
     done = ", ".join(s["name"] for s in manifest["stages"])
     print(f"ok: stages complete [{done}]; outputs in {cfg.out_dir}")
     return 0

@@ -12,6 +12,7 @@ import csv
 import inspect
 import io
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
@@ -64,7 +65,6 @@ from .violin import emit_violin_svg, violin_summary
 from .wata import KWIC_SAMPLES, KWIC_TERMS, compare, kwic, tokenize
 
 SCHEMA_VERSION = 1
-STAGES = ("ingest", "prompt", "score", "extract", "analyze", "fuse", "wata", "violin")
 
 
 class Gold(NamedTuple):
@@ -106,6 +106,12 @@ class ExperimentConfig:
             raise ValueError("concurrency must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.bootstrap_reps < 1:
+            raise ValueError("bootstrap_reps must be at least 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if self.cv_folds < 2:
+            raise ValueError("cv_folds must be at least 2")
         if not self.models:
             raise ValueError("at least one model must be configured")
         for strategy in self.strategies:
@@ -291,24 +297,16 @@ def _record_stage(manifest: dict, name: str, counts: dict) -> None:
 # --- shared artifact IO -----------------------------------------------------
 
 
-def _eval_articles_path(cfg: ExperimentConfig) -> Path:
-    return cfg.out_dir / "articles.jsonl"
-
-
-def _gold_path(cfg: ExperimentConfig, kind: str) -> Path:
-    return cfg.out_dir / f"gold_{kind}.csv"
-
-
-def _records_path(cfg: ExperimentConfig) -> Path:
-    return cfg.out_dir / "records.jsonl"
-
-
-def _parsed_path(cfg: ExperimentConfig) -> Path:
-    return cfg.out_dir / "parsed.jsonl"
-
-
-def _matrix_path(cfg: ExperimentConfig) -> Path:
-    return cfg.out_dir / "matrix.csv"
+ARTICLES = "articles.jsonl"
+GOLDS = "gold_{kind}.csv"
+RECORDS = "records.jsonl"
+PARSED = "parsed.jsonl"
+MATRIX = "matrix.csv"
+# the stage that writes each out_dir file a later stage reads; "{kind}" in
+# a name stands for each configured gold kind
+WRITER = {
+    ARTICLES: "ingest", GOLDS: "ingest", RECORDS: "score", PARSED: "extract", MATRIX: "analyze"
+}
 
 
 def _write_jsonl(path: Path, rows) -> None:
@@ -342,22 +340,9 @@ def _write_csv(path: Path, header, rows) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def _require(path: Path, producing_stage: str) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(
-            f"{path} is missing; run the {producing_stage!r} stage first"
-        )
-    return path
-
-
-def _load_eval_set(cfg: ExperimentConfig) -> ArticleSet:
-    return load_articles(_require(_eval_articles_path(cfg), "ingest"))
-
-
 def _load_golds(cfg: ExperimentConfig) -> dict[str, GoldStandard]:
     return {
-        kind: load_gold_csv(_require(_gold_path(cfg, kind), "ingest"), kind)
-        for kind, _ in cfg.golds
+        kind: load_gold_csv(cfg.out_dir / GOLDS.format(kind=kind), kind) for kind, _ in cfg.golds
     }
 
 
@@ -408,7 +393,7 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
         eval_set = sample_per_uoa(eligible, cfg.sample_per_uoa, cfg.seed)
     if len(eval_set) == 0:
         raise ValueError(f"no eligible articles in {cfg.articles}")
-    _write_jsonl(_eval_articles_path(cfg), eval_set)
+    _write_jsonl(cfg.out_dir / ARTICLES, eval_set)
     counts = {
         "articles_loaded": len(loaded),
         "articles_eligible": len(eligible),
@@ -417,7 +402,7 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
     for kind, path in cfg.golds:
         gold = load_gold_csv(path, kind)
         known = [(i, repr(s)) for i, s in sorted(gold.scores.items()) if i in eval_set]
-        _write_csv(_gold_path(cfg, kind), ["article_id", "score"], known)
+        _write_csv(cfg.out_dir / GOLDS.format(kind=kind), ["article_id", "score"], known)
         counts[f"gold_{kind}"] = len(known)
     pool = _load_pool(cfg, eval_set)
     if pool is not None:
@@ -426,7 +411,7 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
 
 
 def stage_prompt(cfg: ExperimentConfig) -> dict:
-    eval_set = _load_eval_set(cfg)
+    eval_set = load_articles(cfg.out_dir / ARTICLES)
     pool = _load_pool(cfg, eval_set)
     written = 0
     for article, strategy, iteration, text in _user_prompts(cfg, eval_set, pool):
@@ -463,7 +448,7 @@ def _mock_latent(cfg: ExperimentConfig) -> dict[str, float]:
 def stage_score(cfg: ExperimentConfig) -> dict:
     if not cfg.mock:
         require_api_keys(cfg.models)
-    eval_set = _load_eval_set(cfg)
+    eval_set = load_articles(cfg.out_dir / ARTICLES)
     pool = _load_pool(cfg, eval_set)
     tasks = _build_tasks(cfg, eval_set, pool)
     cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
@@ -481,7 +466,7 @@ def stage_score(cfg: ExperimentConfig) -> dict:
         tasks, configs, concurrency_limit=cfg.concurrency, cache=cache, backend=backend
     )
     records = sorted(records, key=lambda r: r.key)
-    _write_jsonl(_records_path(cfg), records)
+    _write_jsonl(cfg.out_dir / RECORDS, records)
     ok = sum(1 for r in records if r.status == STATUS_OK)
     return {"tasks": len(tasks), "ok": ok, "failed": len(records) - ok}
 
@@ -508,12 +493,8 @@ class ParsedRow:
         object.__setattr__(self, "flags", tuple(self.flags))
 
 
-def _read_records(cfg: ExperimentConfig) -> list[RawRecord]:
-    return _read_jsonl(_require(_records_path(cfg), "score"), RawRecord)
-
-
 def stage_extract(cfg: ExperimentConfig) -> dict:
-    records = _read_records(cfg)
+    records = _read_jsonl(cfg.out_dir / RECORDS, RawRecord)
     rows = []
     n_with_score = n_multi = n_no_score = 0
     for rec in records:
@@ -540,7 +521,7 @@ def stage_extract(cfg: ExperimentConfig) -> dict:
             n_multi += 1
         if "no_score_found" in parsed.flags:
             n_no_score += 1
-    _write_jsonl(_parsed_path(cfg), rows)
+    _write_jsonl(cfg.out_dir / PARSED, rows)
     return {
         "records": len(records),
         "parsed_ok": sum(1 for r in records if r.status == STATUS_OK),
@@ -551,7 +532,7 @@ def stage_extract(cfg: ExperimentConfig) -> dict:
 
 
 def _read_parsed(cfg: ExperimentConfig) -> list[ParsedRow]:
-    return _read_jsonl(_require(_parsed_path(cfg), "extract"), ParsedRow)
+    return _read_jsonl(cfg.out_dir / PARSED, ParsedRow)
 
 
 def build_matrix(cfg: ExperimentConfig, parsed: list[ParsedRow]) -> ScoreMatrix:
@@ -566,7 +547,7 @@ def build_matrix(cfg: ExperimentConfig, parsed: list[ParsedRow]) -> ScoreMatrix:
 
 def _write_matrix(cfg: ExperimentConfig, matrix: ScoreMatrix) -> None:
     _write_csv(
-        _matrix_path(cfg),
+        cfg.out_dir / MATRIX,
         ["article_id", "model", "strategy", "score", "effective_k"],
         (
             [art_id, model, strategy, repr(cell.score), cell.effective_k]
@@ -579,7 +560,7 @@ def _write_matrix(cfg: ExperimentConfig, matrix: ScoreMatrix) -> None:
 def read_matrix(cfg: ExperimentConfig) -> ScoreMatrix:
     matrix = ScoreMatrix(configured_k=cfg.iterations)
     columns: dict[tuple[str, str], dict[str, ScoreCell]] = {}
-    with open(_require(_matrix_path(cfg), "analyze"), newline="", encoding="utf-8") as fh:
+    with open(cfg.out_dir / MATRIX, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             key = (row["model"], row["strategy"])
             columns.setdefault(key, {})[row["article_id"]] = ScoreCell(
@@ -591,7 +572,7 @@ def read_matrix(cfg: ExperimentConfig) -> ScoreMatrix:
 
 
 def stage_analyze(cfg: ExperimentConfig) -> dict:
-    eval_set = _load_eval_set(cfg)
+    eval_set = load_articles(cfg.out_dir / ARTICLES)
     golds = _load_golds(cfg)
     parsed = _read_parsed(cfg)
     matrix = build_matrix(cfg, parsed)
@@ -638,7 +619,7 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
     for (model, strategy, kind), rhos in sorted(per_unit.items()):
         if len(rhos) < 2:
             continue
-        mean, lo, hi = aggregate_across_units(rhos)
+        mean, lo, hi = aggregate_across_units(rhos, alpha=cfg.alpha)
         agg_rows.append(
             [model, strategy, kind, len(rhos), f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
         )
@@ -655,7 +636,7 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
 
 
 def stage_fuse(cfg: ExperimentConfig) -> dict:
-    eval_set = _load_eval_set(cfg)
+    eval_set = load_articles(cfg.out_dir / ARTICLES)
     golds = _load_golds(cfg)
     matrix = read_matrix(cfg)
     uoa_of = _uoa_map(eval_set)
@@ -746,7 +727,8 @@ def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
 
 
 def stage_wata(cfg: ExperimentConfig) -> dict:
-    records = [r for r in _read_records(cfg) if r.status == STATUS_OK]
+    records = _read_jsonl(cfg.out_dir / RECORDS, RawRecord)
+    records = [r for r in records if r.status == STATUS_OK]
     grouped: dict[tuple[str, str], list[RawRecord]] = {}
     for rec in records:
         grouped.setdefault((rec.model, rec.strategy), []).append(rec)
@@ -843,23 +825,50 @@ def stage_violin(cfg: ExperimentConfig) -> dict:
     return {"violins_written": written, "violins_skipped": skipped}
 
 
-_STAGE_FUNCTIONS = {
-    "ingest": stage_ingest,
-    "prompt": stage_prompt,
-    "score": stage_score,
-    "extract": stage_extract,
-    "analyze": stage_analyze,
-    "fuse": stage_fuse,
-    "wata": stage_wata,
-    "violin": stage_violin,
+class Stage(NamedTuple):
+    """One pipeline stage: its function, its command-line help and the
+    ``out_dir`` files it reads, in the order it reads them."""
+
+    run: Callable[[ExperimentConfig], dict]
+    help: str
+    reads: tuple[str, ...] = ()
+
+
+# the pipeline, in order; STAGES and the CLI subcommands come from here
+PIPELINE = {
+    "ingest": Stage(stage_ingest, "load, filter and sample articles; validate gold files"),
+    "prompt": Stage(stage_prompt, "write per-article prompt dumps for audit", (ARTICLES,)),
+    "score": Stage(
+        stage_score, "run the completion batch (live endpoints or --mock)", (ARTICLES, GOLDS)
+    ),
+    "extract": Stage(stage_extract, "parse raw reports into scores and flags", (RECORDS,)),
+    "analyze": Stage(
+        stage_analyze,
+        "build the score matrix and correlation tables",
+        (ARTICLES, GOLDS, PARSED),
+    ),
+    "fuse": Stage(stage_fuse, "fit and cross-validate fusion weights", (ARTICLES, GOLDS, MATRIX)),
+    "wata": Stage(stage_wata, "contrast report term usage between corpora", (RECORDS,)),
+    "violin": Stage(stage_violin, "render score distributions by gold level", (GOLDS, MATRIX)),
 }
+STAGES = tuple(PIPELINE)
+
+
+def _check_inputs(cfg: ExperimentConfig, reads: tuple[str, ...]) -> None:
+    for name in reads:
+        for kind in [kind for kind, _ in cfg.golds] if name == GOLDS else [""]:
+            path = cfg.out_dir / name.format(kind=kind)
+            if not path.exists():
+                raise FileNotFoundError(f"{path} is missing; run the {WRITER[name]!r} stage first")
 
 
 def run_stages(cfg: ExperimentConfig, stages) -> dict:
     """Run the named stages in pipeline order, updating the manifest.
 
-    On failure the manifest records the failing stage and the error, the
-    partial outputs stay on disk, and the exception propagates.
+    A stage whose input file is missing fails before it runs, naming the
+    stage that writes the file. On failure the manifest records the failing
+    stage and the error, the partial outputs stay on disk, and the exception
+    propagates.
     """
     order = [s for s in STAGES if s in set(stages)]
     unknown = set(stages) - set(STAGES)
@@ -868,8 +877,10 @@ def run_stages(cfg: ExperimentConfig, stages) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(cfg)
     for name in order:
+        stage = PIPELINE[name]
         try:
-            counts = _STAGE_FUNCTIONS[name](cfg)
+            _check_inputs(cfg, stage.reads)
+            counts = stage.run(cfg)
         except Exception as exc:
             manifest["failure"] = {"stage": name, "error": str(exc)}
             _write_manifest(cfg, manifest)

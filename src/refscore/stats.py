@@ -208,23 +208,25 @@ def correlate(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -> C
     return CorrelationResult(rho=rho, ci_low=lo, ci_high=hi, n=len(np.asarray(x)), b_reps=b_reps)
 
 
-def aggregate_across_units(rhos) -> tuple[float, float, float]:
-    """Cross-unit mean correlation with a t-interval.
+def aggregate_across_units(rhos, alpha: float = 0.05) -> tuple[float, float, float]:
+    """Cross-unit mean correlation with a ``1 - alpha`` t-interval.
 
-    The interval is mean +/- t(0.975, m-1) * sd / sqrt(m) over the per-unit
-    correlations, clipped to [-1, 1]. The t quantile is
+    The interval is mean +/- t(1 - alpha/2, m-1) * sd / sqrt(m) over the
+    per-unit correlations, clipped to [-1, 1]. The t quantile is
     ``scipy.special.stdtrit``, imported where it runs so that importing
     refscore stays cheap.
     """
     from scipy.special import stdtrit
 
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
     r = np.asarray(rhos, dtype=float)
     if r.ndim != 1 or len(r) < 2:
         raise ValueError("aggregate_across_units needs at least 2 unit correlations")
     m = len(r)
     mean = float(r.mean())
     sd = float(r.std(ddof=1))
-    half = float(stdtrit(m - 1, 0.975)) * sd / np.sqrt(m)
+    half = float(stdtrit(m - 1, 1.0 - alpha / 2.0)) * sd / np.sqrt(m)
     lo = max(-1.0, mean - half)
     hi = min(1.0, mean + half)
     return mean, lo, hi

@@ -122,10 +122,11 @@ def test_snapshot_holds_every_field_but_the_runtime_set(tmp_path):
 
 def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
     corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
-    cfg = load_config(write_config(tmp_path, corpus, alpha=1, mock={"noise_sd": 0}))
-    assert type(cfg.alpha) is float and cfg.alpha == 1.0
+    path = write_config(tmp_path, corpus, wata={"q_threshold": 1}, mock={"noise_sd": 0})
+    cfg = load_config(path)
+    assert type(cfg.wata_q_threshold) is float and cfg.wata_q_threshold == 1.0
     assert type(cfg.mock_noise_sd) is float
-    assert cfg.snapshot()["alpha"] == 1.0
+    assert cfg.snapshot()["wata_q_threshold"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -144,10 +145,15 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         ({"strategies": ["zero", 3]}, "config key 'strategies[1]' must be a string, got 3"),
         ({"mock": None}, "config key 'mock' must be an object, got null"),
         ({"fewshot_pool": ""}, "config key 'fewshot_pool' must be a non-empty path"),
+        ({"alpha": 1.5}, "alpha must lie in (0, 1)"),
+        ({"alpha": 0}, "alpha must lie in (0, 1)"),
+        ({"bootstrap_reps": 0}, "bootstrap_reps must be at least 1"),
+        ({"cv_folds": 1}, "cv_folds must be at least 2"),
     ],
     ids=[
         "list", "nested-null", "model-string", "fraction", "bool", "gold-path", "model-name",
-        "list-item", "nested-object", "empty-path",
+        "list-item", "nested-object", "empty-path", "alpha-above-1", "alpha-zero",
+        "bootstrap-reps", "cv-folds",
     ],
 )
 def test_wrong_or_missing_key_is_rejected_by_name(tmp_path, extra, message, capsys):

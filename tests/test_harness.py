@@ -1,14 +1,18 @@
 """Tests for the staged pipeline, config loading and the command line."""
 import csv
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
 
 from refscore.cli import build_parser, main
 from refscore.harness import (
+    PIPELINE,
     SCHEMA_VERSION,
     STAGES,
+    WRITER,
     ExperimentConfig,
     build_matrix,
     load_config,
@@ -301,6 +305,44 @@ class TestStageIsolation:
         assert names.count("analyze") == 1
 
 
+STAGE_INPUTS = [(stage, name) for stage, entry in PIPELINE.items() for name in entry.reads]
+
+
+class TestStageInputs:
+    def test_each_input_is_written_by_an_earlier_stage(self):
+        assert STAGES == (
+            "ingest", "prompt", "score", "extract", "analyze", "fuse", "wata", "violin"
+        )
+        for position, (stage, entry) in enumerate(PIPELINE.items()):
+            for name in entry.reads:
+                assert STAGES.index(WRITER[name]) < position, (stage, name)
+
+    @pytest.mark.parametrize(
+        "stage, name", STAGE_INPUTS, ids=[f"{s}-{n}" for s, n in STAGE_INPUTS]
+    )
+    def test_missing_input_fails_the_stage_before_it_writes(
+        self, mini_run, tmp_path, stage, name
+    ):
+        src = mini_run["cfg"]
+        cfg = load_config(mini_run["cfg_path"], {"out": str(tmp_path / "out")})
+        cfg.out_dir.mkdir()
+        kinds = [kind for kind, _ in cfg.golds]
+        for read in PIPELINE[stage].reads:
+            for file_name in {read.format(kind=kind) for kind in kinds}:
+                shutil.copyfile(src.out_dir / file_name, cfg.out_dir / file_name)
+        # the last gold kind, so that every configured kind is checked
+        missing = cfg.out_dir / name.format(kind=kinds[-1])
+        missing.unlink()
+        before = sorted(p.name for p in cfg.out_dir.iterdir())
+        message = f"{missing} is missing; run the '{WRITER[name]}' stage first"
+        with pytest.raises(FileNotFoundError, match=re.escape(message)):
+            run_stages(cfg, (stage,))
+        manifest = json.loads((cfg.out_dir / "manifest.json").read_text())
+        assert manifest["failure"]["stage"] == stage
+        after = sorted(p.relative_to(cfg.out_dir) for p in cfg.out_dir.rglob("*"))
+        assert after == sorted(Path(n) for n in before + ["manifest.json"])
+
+
 class TestByteDeterminism:
     def test_two_runs_identical_bytes(self, mini_run, tmp_path):
         first_out = mini_run["cfg"].out_dir
@@ -359,6 +401,15 @@ class TestScorePreflight:
         assert manifest["failure"]["stage"] == "score"
         assert "REFSCORE_TEST_KEY_A" in manifest["failure"]["error"]
         assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_all_names_the_stage_that_failed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REFSCORE_TEST_KEY_A", raising=False)
+        monkeypatch.delenv("REFSCORE_TEST_KEY_B", raising=False)
+        monkeypatch.setattr(gateway, "default_transport", lambda *args: pytest.fail("sent"))
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+        cfg_path = write_config(tmp_path, corpus, models=self.LIVE_MODELS, mock=False)
+        assert main(["all", "--config", str(cfg_path)]) == 1
+        assert "run failed during score: " in capsys.readouterr().err
 
     def test_mock_runs_need_no_keys(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REFSCORE_TEST_KEY_A", raising=False)
@@ -424,6 +475,13 @@ class TestExperimentConfigValidation:
             ExperimentConfig(**base, concurrency=0)
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(**base, seed=-1)
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                ExperimentConfig(**base, alpha=alpha)
+        with pytest.raises(ValueError, match="bootstrap_reps"):
+            ExperimentConfig(**base, bootstrap_reps=0)
+        with pytest.raises(ValueError, match="cv_folds"):
+            ExperimentConfig(**base, cv_folds=1)
         with pytest.raises(ValueError, match="at least one model"):
             ExperimentConfig(
                 articles=tmp_path / "a.jsonl", out_dir=tmp_path / "out", models=[]

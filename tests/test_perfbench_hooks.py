@@ -6,6 +6,8 @@ one of those imports breaks only the traced benchmark run, so this test
 installs and removes the tracer against the package.
 """
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 from refscore import fusion, gateway, harness, stats
@@ -41,3 +43,10 @@ def test_tracer_installs_and_restores():
         tracer.restore()
     assert [name for (_, name), w, o in zip(sites, wrapped, originals) if w is o] == []
     assert [getattr(owner, name) for owner, name in sites] == originals
+
+
+def test_benchmark_stage_metrics_follow_the_pipeline():
+    """A renamed or reordered stage would silently drop its per-layer metric."""
+    bench = json.loads((TRACING.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = (re.fullmatch(r"harness\.stage\.(\w+)\.s", m["name"]) for m in bench["per_layer"])
+    assert tuple(match[1] for match in names if match) == harness.STAGES

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as sps
+from scipy.special import stdtrit
 
 from refscore import stats
 from refscore.stats import (
@@ -364,6 +365,14 @@ class TestAggregateAcrossUnits:
     def test_needs_two_values(self):
         with pytest.raises(ValueError, match="at least 2"):
             aggregate_across_units([0.4])
+
+    def test_interval_follows_alpha(self):
+        rhos = np.array([0.2, 0.35, 0.3, 0.5, 0.25])
+        m, mean, sd = len(rhos), float(rhos.mean()), float(rhos.std(ddof=1))
+        half = float(stdtrit(m - 1, 0.95)) * sd / np.sqrt(m)
+        assert aggregate_across_units(rhos, alpha=0.1) == (mean, mean - half, mean + half)
+        with pytest.raises(ValueError, match="alpha"):
+            aggregate_across_units(rhos, alpha=1.5)
 
     def test_t_quantile_is_scipy_stats_bit_for_bit(self):
         rng = np.random.default_rng(9)

@@ -21,6 +21,8 @@ STAR_LEVELS = (1, 2, 3, 4)
 PROXY = "departmental_proxy"
 INDIVIDUAL = "individual"
 GOLD_KINDS = (PROXY, INDIVIDUAL)
+#: the header of every gold CSV
+GOLD_HEADER = ("article_id", "score")
 
 #: the star scale every score and gold value lies on
 SCORE_MIN = 1.0
@@ -261,8 +263,8 @@ def load_gold_csv(path: str | Path, kind: str, article_set: ArticleSet | None = 
     scores: dict[str, float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"article_id", "score"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header article_id,score")
+        if reader.fieldnames is None or not set(GOLD_HEADER) <= set(reader.fieldnames):
+            raise ValueError(f"{path}: expected header {','.join(GOLD_HEADER)}")
         for row_no, row in enumerate(reader, start=2):
             art_id = row["article_id"]
             try:

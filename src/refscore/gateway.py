@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .corpus import SCORE_MAX, SCORE_MIN
 from .prompts import MessageSequence
@@ -129,6 +130,21 @@ def require_api_keys(configs) -> None:
     if missing:
         raise GatewayError(
             "API key environment variables are not set: " + ", ".join(missing), attempts=0
+        )
+
+
+def require_base_urls(configs) -> None:
+    """Fail before any request when a model's ``base_url`` lacks an http(s)
+    scheme or a host, which the transport would only retry in vain. One
+    error names every such model and its URL."""
+    unusable = []
+    for cfg in configs:
+        parts = urlsplit(cfg.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            unusable.append(f"{cfg.name} ({cfg.base_url!r})")
+    if unusable:
+        raise GatewayError(
+            "base_url needs an http(s) scheme and a host: " + ", ".join(unusable), attempts=0
         )
 
 
@@ -347,25 +363,26 @@ def run_batch(
     for task, key in zip(tasks, keys):
         first_task_for.setdefault((task.model, key), task)
 
-    outcomes: dict[tuple[str, str], tuple[str, int, float] | GatewayError] = {}
+    # each distinct request's outcome as the fields its records carry after
+    # the key: (text, latency_ms, status, attempts)
+    outcomes: dict[tuple[str, str], tuple[str, float, str, int]] = {}
     misses: list[tuple[tuple[str, str], CompletionTask]] = []
     for group_key, task in first_task_for.items():
         hit = cache.load(*group_key) if cache is not None else None
         if hit is None:
             misses.append((group_key, task))
         else:
-            outcomes[group_key] = (hit["text"], hit["attempts"], hit["latency_ms"])
+            outcomes[group_key] = (hit["text"], hit["latency_ms"], STATUS_OK, hit["attempts"])
 
-    def execute(item) -> tuple[tuple[str, str], tuple[str, int, float] | GatewayError]:
+    def execute(item) -> tuple[tuple[str, str], tuple[str, float, str, int]]:
         (model, key), task = item
-        cfg = configs[model]
         try:
-            text, attempts, latency_ms = backend.complete_task(task, cfg)
+            text, attempts, latency_ms = backend.complete_task(task, configs[model])
         except GatewayError as exc:
-            return (model, key), exc
+            return (model, key), ("", 0.0, STATUS_FAILED, exc.attempts)
         if cache is not None:
             cache.store(model, key, text, attempts, latency_ms)
-        return (model, key), (text, attempts, latency_ms)
+        return (model, key), (text, latency_ms, STATUS_OK, attempts)
 
     if misses:
         with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
@@ -373,24 +390,9 @@ def run_batch(
     logger.info(
         "batch: %d tasks, %d distinct requests, %d cache hits, %d sent, %d failed",
         len(tasks), len(first_task_for), len(first_task_for) - len(misses), len(misses),
-        sum(isinstance(outcome, GatewayError) for outcome in outcomes.values()),
+        sum(status == STATUS_FAILED for _, _, status, _ in outcomes.values()),
     )
-
-    records: list[RawRecord] = []
-    for task, key in zip(tasks, keys):
-        outcome = outcomes[(task.model, key)]
-        if isinstance(outcome, GatewayError):
-            text, attempts, latency_ms, status = "", outcome.attempts, 0.0, STATUS_FAILED
-        else:
-            (text, attempts, latency_ms), status = outcome, STATUS_OK
-        records.append(
-            RawRecord(
-                article_id=task.article_id, model=task.model,
-                strategy=task.strategy, iteration=task.iteration,
-                text=text, latency_ms=latency_ms, status=status, attempts=attempts,
-            )
-        )
-    return records
+    return [RawRecord(*task.key, *outcomes[(task.model, key)]) for task, key in zip(tasks, keys)]
 
 
 # --- mock backend ---------------------------------------------------------

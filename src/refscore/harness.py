@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import inspect
-import io
 import json
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -23,6 +23,7 @@ import scipy
 
 from . import __version__
 from .corpus import (
+    GOLD_HEADER,
     GOLD_KINDS,
     INDIVIDUAL,
     PROXY,
@@ -35,9 +36,10 @@ from .corpus import (
     load_gold_csv,
     sample_per_uoa,
 )
-from .extract import analyze_report
+from .extract import FLAG_MULTI, FLAG_NO_SCORE, analyze_report
 from .fusion import FUSION_COLUMNS, DEParams, fusion_row, rank_normalized_pool
 from .gateway import (
+    MOCK_STYLES,
     STATUS_OK,
     CompletionTask,
     HttpBackend,
@@ -46,6 +48,7 @@ from .gateway import (
     RawRecord,
     ResponseCache,
     require_api_keys,
+    require_base_urls,
     run_batch,
 )
 from .prompts import (
@@ -60,7 +63,7 @@ from .prompts import (
 )
 from .stats import ScoreCell, ScoreMatrix, aggregate_across_units, correlate, mean_over_iterations
 from .synth import default_system_prompt
-from .util import atomic_write_text, json_objects, safe_name, seed_int
+from .util import atomic_write_text, json_objects, safe_name, seed_int, write_csv
 from .violin import emit_violin_svg, violin_summary
 from .wata import KWIC_SAMPLES, KWIC_TERMS, compare, kwic, tokenize
 
@@ -112,6 +115,13 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
+        if not 0.0 < self.wata_q_threshold <= 1.0:
+            raise ValueError("wata.q_threshold must lie in (0, 1]")
+        if self.mock_noise_sd < 0:
+            raise ValueError("mock.noise_sd must be non-negative")
+        for model, style in self.mock_styles.items():
+            if style not in MOCK_STYLES:
+                raise ValueError(f"mock.styles.{model}: unknown mock style {style!r}")
         if not self.models:
             raise ValueError("at least one model must be configured")
         for strategy in self.strategies:
@@ -330,16 +340,6 @@ def _read_jsonl(path: Path, cls) -> list:
     return rows
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """A header line, then one line per row, each ending in a bare newline:
-    the format of every CSV artifact."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
-
-
 def _load_golds(cfg: ExperimentConfig) -> dict[str, GoldStandard]:
     return {
         kind: load_gold_csv(cfg.out_dir / GOLDS.format(kind=kind), kind) for kind, _ in cfg.golds
@@ -402,7 +402,7 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
     for kind, path in cfg.golds:
         gold = load_gold_csv(path, kind)
         known = [(i, repr(s)) for i, s in sorted(gold.scores.items()) if i in eval_set]
-        _write_csv(cfg.out_dir / GOLDS.format(kind=kind), ["article_id", "score"], known)
+        write_csv(cfg.out_dir / GOLDS.format(kind=kind), GOLD_HEADER, known)
         counts[f"gold_{kind}"] = len(known)
     pool = _load_pool(cfg, eval_set)
     if pool is not None:
@@ -448,6 +448,7 @@ def _mock_latent(cfg: ExperimentConfig) -> dict[str, float]:
 def stage_score(cfg: ExperimentConfig) -> dict:
     if not cfg.mock:
         require_api_keys(cfg.models)
+        require_base_urls(cfg.models)
     eval_set = load_articles(cfg.out_dir / ARTICLES)
     pool = _load_pool(cfg, eval_set)
     tasks = _build_tasks(cfg, eval_set, pool)
@@ -494,19 +495,17 @@ class ParsedRow:
 
 
 def stage_extract(cfg: ExperimentConfig) -> dict:
-    records = _read_jsonl(cfg.out_dir / RECORDS, RawRecord)
     rows = []
-    n_with_score = n_multi = n_no_score = 0
-    for rec in records:
-        common = (rec.article_id, rec.model, rec.strategy, rec.iteration, rec.status)
+    for rec in _read_jsonl(cfg.out_dir / RECORDS, RawRecord):
         if rec.status != STATUS_OK:
-            rows.append(ParsedRow(*common))
+            rows.append(ParsedRow(*rec.key, rec.status))
             continue
         analysis = analyze_report(rec.text)
         parsed = analysis.parsed
         rows.append(
             ParsedRow(
-                *common,
+                *rec.key,
+                rec.status,
                 effective=analysis.effective,
                 overall=parsed.overall,
                 originality=parsed.originality,
@@ -515,19 +514,14 @@ def stage_extract(cfg: ExperimentConfig) -> dict:
                 flags=tuple(sorted(parsed.flags)),
             )
         )
-        if analysis.effective is not None:
-            n_with_score += 1
-        if analysis.multi_article:
-            n_multi += 1
-        if "no_score_found" in parsed.flags:
-            n_no_score += 1
     _write_jsonl(cfg.out_dir / PARSED, rows)
+    flagged = Counter(flag for row in rows for flag in row.flags)
     return {
-        "records": len(records),
-        "parsed_ok": sum(1 for r in records if r.status == STATUS_OK),
-        "with_score": n_with_score,
-        "multi_article": n_multi,
-        "no_score": n_no_score,
+        "records": len(rows),
+        "parsed_ok": sum(row.status == STATUS_OK for row in rows),
+        "with_score": sum(row.effective is not None for row in rows),
+        "multi_article": flagged[FLAG_MULTI],
+        "no_score": flagged[FLAG_NO_SCORE],
     }
 
 
@@ -546,7 +540,7 @@ def build_matrix(cfg: ExperimentConfig, parsed: list[ParsedRow]) -> ScoreMatrix:
 
 
 def _write_matrix(cfg: ExperimentConfig, matrix: ScoreMatrix) -> None:
-    _write_csv(
+    write_csv(
         cfg.out_dir / MATRIX,
         ["article_id", "model", "strategy", "score", "effective_k"],
         (
@@ -610,7 +604,7 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
                     ]
                 )
                 per_unit.setdefault((model, strategy, kind), []).append(result.rho)
-    _write_csv(
+    write_csv(
         cfg.out_dir / "correlations.csv",
         ["uoa", "model", "strategy", "gold_kind", "n", "rho", "ci_low", "ci_high"],
         corr_rows,
@@ -623,7 +617,7 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
         agg_rows.append(
             [model, strategy, kind, len(rhos), f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
         )
-    _write_csv(
+    write_csv(
         cfg.out_dir / "aggregates.csv",
         ["model", "strategy", "gold_kind", "units", "mean_rho", "ci_low", "ci_high"],
         agg_rows,
@@ -699,7 +693,7 @@ def _weights_json(cv) -> list[dict]:
 def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
     # each row as its label, then its values in FUSION_COLUMNS order
     table = [list(row.as_mapping().values()) for row in rows]
-    _write_csv(
+    write_csv(
         cfg.out_dir / f"fusion_{kind}.csv",
         FUSION_COLUMNS,
         ([label] + [f"{v:.6f}" for v in values] for label, *values in table),
@@ -762,7 +756,7 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
     for name, group_a, group_b in comparisons:
         stats = compare(tokenized[group_a], tokenized[group_b], q_threshold=cfg.wata_q_threshold)
         n_significant += len(stats)
-        _write_csv(
+        write_csv(
             wata_dir / f"{name}.csv",
             ["term", "direction", "df_a", "df_b", "n_a", "n_b", "pct_a", "pct_b", "chi2", "p", "q"],
             (

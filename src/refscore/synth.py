@@ -5,13 +5,11 @@ exemplar pool and a latent-quality sidecar, all deterministic in the seed.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
 
-from .corpus import SCORE_MAX, SCORE_MIN, STAR_LEVELS
-from .util import atomic_write_text, clamp, substream
+from .corpus import GOLD_HEADER, SCORE_MAX, SCORE_MIN, STAR_LEVELS
+from .util import atomic_write_text, clamp, substream, write_csv
 
 _WORDS = (
     "adaptive", "boundary", "catchment", "diffusion", "ensemble", "fracture",
@@ -97,9 +95,9 @@ def make_synthetic_corpus(
         proxy = clamp(quality + gold_rng.normal(0.0, 0.35), SCORE_MIN, SCORE_MAX)
         proxy_rows.append((art_id, round(proxy, 4)))
     individual_path = out_dir / "gold_individual.csv"
-    atomic_write_text(individual_path, _gold_csv(individual_rows))
+    write_csv(individual_path, GOLD_HEADER, individual_rows)
     proxy_path = out_dir / "gold_proxy.csv"
-    atomic_write_text(proxy_path, _gold_csv(proxy_rows))
+    write_csv(proxy_path, GOLD_HEADER, proxy_rows)
 
     pool_rows: list[dict] = []
     for uoa in uoas:
@@ -130,15 +128,6 @@ def make_synthetic_corpus(
         "latent": latent_path,
         "system_prompt": system_path,
     }
-
-
-def _gold_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["article_id", "score"])
-    for art_id, score in rows:
-        writer.writerow([art_id, score])
-    return buf.getvalue()
 
 
 def default_system_prompt() -> str:

@@ -1,7 +1,9 @@
 """Seed fan-out and small filesystem helpers shared across the package."""
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -97,6 +99,16 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """A header line, then one line per row, each ending in a bare newline:
+    the format of every CSV file refscore writes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def clamp(value: float, lo: float, hi: float) -> float:

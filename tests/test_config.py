@@ -149,11 +149,17 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         ({"alpha": 0}, "alpha must lie in (0, 1)"),
         ({"bootstrap_reps": 0}, "bootstrap_reps must be at least 1"),
         ({"cv_folds": 1}, "cv_folds must be at least 2"),
+        ({"wata": {"q_threshold": 0}}, "wata.q_threshold must lie in (0, 1]"),
+        ({"mock": {"enabled": True, "noise_sd": -0.5}}, "mock.noise_sd must be non-negative"),
+        (
+            {"mock": {"enabled": True, "styles": {"mock-c": "subscores"}}},
+            "mock.styles.mock-c: unknown mock style 'subscores'",
+        ),
     ],
     ids=[
         "list", "nested-null", "model-string", "fraction", "bool", "gold-path", "model-name",
         "list-item", "nested-object", "empty-path", "alpha-above-1", "alpha-zero",
-        "bootstrap-reps", "cv-folds",
+        "bootstrap-reps", "cv-folds", "wata-q-threshold", "mock-noise-sd", "mock-style",
     ],
 )
 def test_wrong_or_missing_key_is_rejected_by_name(tmp_path, extra, message, capsys):

@@ -411,6 +411,27 @@ class TestScorePreflight:
         assert main(["all", "--config", str(cfg_path)]) == 1
         assert "run failed during score: " in capsys.readouterr().err
 
+    def test_unsendable_base_url_fails_before_any_request(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(gateway, "default_transport", lambda *args: calls.append(args))
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+        models = [
+            {"name": "no-url"},
+            {"name": "no-scheme", "base_url": "api.example.com/v1"},
+            {"name": "sendable", "base_url": "http://127.0.0.1:9"},
+        ]
+        cfg_path = write_config(tmp_path, corpus, models=models, mock=False)
+        assert main(["ingest", "--config", str(cfg_path)]) == 0
+        assert main(["score", "--config", str(cfg_path)]) == 1
+        assert calls == []
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failure"]["stage"] == "score"
+        error = manifest["failure"]["error"]
+        assert "no-url ('')" in error and "no-scheme ('api.example.com/v1')" in error
+        assert "sendable" not in error
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
     def test_mock_runs_need_no_keys(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REFSCORE_TEST_KEY_A", raising=False)
         corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)

@@ -14,6 +14,7 @@ import json
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import combinations
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -65,7 +66,7 @@ from .stats import ScoreCell, ScoreMatrix, aggregate_across_units, correlate, me
 from .synth import default_system_prompt
 from .util import atomic_write_text, json_objects, safe_name, seed_int, write_csv
 from .violin import emit_violin_svg, violin_summary
-from .wata import KWIC_SAMPLES, KWIC_TERMS, compare, kwic, tokenize
+from .wata import KWIC_SAMPLES, KWIC_TERMS, TokenizedDoc, compare, kwic, tokenize
 
 SCHEMA_VERSION = 1
 
@@ -124,6 +125,12 @@ class ExperimentConfig:
                 raise ValueError(f"mock.styles.{model}: unknown mock style {style!r}")
         if not self.models:
             raise ValueError("at least one model must be configured")
+        names = [model.name for model in self.models]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate model names configured")
+        for model in self.mock_styles:
+            if model not in names:
+                raise ValueError(f"mock.styles.{model}: no model of that name is configured")
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
                 raise ValueError(f"unknown strategy {strategy!r}")
@@ -423,17 +430,17 @@ def stage_prompt(cfg: ExperimentConfig) -> dict:
 
 def _build_tasks(cfg: ExperimentConfig, eval_set: ArticleSet, pool) -> list[CompletionTask]:
     system = _system_template(cfg)
-    models = sorted({m.name: m for m in cfg.models}.items())
+    models = sorted(cfg.models, key=lambda model: model.name)
     return [
         CompletionTask(
             article_id=article.id,
-            model=name,
+            model=model.name,
             strategy=strategy,
             iteration=iteration,
             messages=compose_messages(system, user, model.supports_system_role),
         )
         for article, strategy, iteration, user in _user_prompts(cfg, eval_set, pool)
-        for name, model in models
+        for model in models
     ]
 
 
@@ -721,40 +728,31 @@ def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
 
 
 def stage_wata(cfg: ExperimentConfig) -> dict:
-    records = _read_jsonl(cfg.out_dir / RECORDS, RawRecord)
-    records = [r for r in records if r.status == STATUS_OK]
-    grouped: dict[tuple[str, str], list[RawRecord]] = {}
-    for rec in records:
-        grouped.setdefault((rec.model, rec.strategy), []).append(rec)
-
-    def doc_id(rec: RawRecord) -> str:
-        return f"{rec.article_id}/{rec.model}/{rec.strategy}/i{rec.iteration}"
-
-    comparisons: list[tuple[str, tuple[str, str], tuple[str, str]]] = []
+    # one pass: each ok record is tokenized once, however many comparisons
+    # its (model, strategy) group joins, and kept with its text for KWIC
+    grouped: dict[tuple[str, str], list[tuple[TokenizedDoc, str]]] = {}
+    for rec in _read_jsonl(cfg.out_dir / RECORDS, RawRecord):
+        if rec.status == STATUS_OK:
+            doc = tokenize(
+                f"{rec.article_id}/{rec.model}/{rec.strategy}/i{rec.iteration}", rec.text
+            )
+            grouped.setdefault((rec.model, rec.strategy), []).append((doc, rec.text))
     models = sorted({m for m, _ in grouped})
-    for model in models:
-        if (model, ZERO) in grouped and (model, FEW) in grouped:
-            comparisons.append((f"{safe_name(model)}__zero_vs_few", (model, ZERO), (model, FEW)))
+    comparisons = [
+        (f"{safe_name(m)}__zero_vs_few", (m, ZERO), (m, FEW))
+        for m in models if (m, ZERO) in grouped and (m, FEW) in grouped
+    ]
     for strategy in cfg.strategies:
         present = [m for m in models if (m, strategy) in grouped]
-        for i, model_a in enumerate(present):
-            for model_b in present[i + 1:]:
-                comparisons.append(
-                    (
-                        f"{safe_name(model_a)}_vs_{safe_name(model_b)}__{strategy}",
-                        (model_a, strategy),
-                        (model_b, strategy),
-                    )
-                )
-    # each record is tokenized once, however many comparisons it joins
-    compared = sorted({group for _, a, b in comparisons for group in (a, b)})
-    tokenized = {
-        group: [tokenize(doc_id(r), r.text) for r in grouped[group]] for group in compared
-    }
+        comparisons += [
+            (f"{safe_name(a)}_vs_{safe_name(b)}__{strategy}", (a, strategy), (b, strategy))
+            for a, b in combinations(present, 2)
+        ]
     wata_dir = cfg.out_dir / "wata"
     n_significant = 0
     for name, group_a, group_b in comparisons:
-        stats = compare(tokenized[group_a], tokenized[group_b], q_threshold=cfg.wata_q_threshold)
+        docs_a, docs_b = ([doc for doc, _ in grouped[group]] for group in (group_a, group_b))
+        stats = compare(docs_a, docs_b, q_threshold=cfg.wata_q_threshold)
         n_significant += len(stats)
         write_csv(
             wata_dir / f"{name}.csv",
@@ -768,11 +766,7 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
                 for s in stats
             ),
         )
-        documents = [
-            (doc, rec.text)
-            for group in (group_a, group_b)
-            for doc, rec in zip(tokenized[group], grouped[group])
-        ]
+        both = grouped[group_a] + grouped[group_b]
         kwic_lines = [f"Keyword in context for comparison {name}", ""]
         for s in stats[:KWIC_TERMS]:
             kwic_lines.append(
@@ -783,7 +777,7 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
             # it, so documents without it among their terms cannot match
             samples = kwic(
                 s.term,
-                [(doc.doc_id, text) for doc, text in documents if s.term in doc.terms],
+                [(doc.doc_id, text) for doc, text in both if s.term in doc.terms],
                 k=KWIC_SAMPLES,
                 seed=seed_int(cfg.seed, "kwic", name),
             )

@@ -197,8 +197,6 @@ class CorrelationResult:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("correlation requires n >= 3")
-        if not (self.ci_low <= self.rho <= self.ci_high):
-            raise ValueError("point estimate outside its percentile interval")
 
 
 def correlate(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -> CorrelationResult:

@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .util import substream
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+#: the characters a term is made of, after lowercasing; kwic's lookarounds
+#: use the same set, so that it matches a term exactly where tokenize finds it
+_TERM_CHARS = "a-z0-9"
+_TOKEN = re.compile(f"[{_TERM_CHARS}]+")
 MIN_TERM_LENGTH = 2
 MIN_DOC_FREQ = 5
 
@@ -130,30 +136,18 @@ def compare(
         raise ValueError("both corpora must be non-empty")
     if not (0.0 < q_threshold <= 1.0):
         raise ValueError("q_threshold must lie in (0, 1]")
-    df_a: dict[str, int] = {}
-    df_b: dict[str, int] = {}
-    for doc in docs_a:
-        for term in doc.terms:
-            df_a[term] = df_a.get(term, 0) + 1
-    for doc in docs_b:
-        for term in doc.terms:
-            df_b[term] = df_b.get(term, 0) + 1
-    tested = sorted(
-        t for t in set(df_a) | set(df_b)
-        if df_a.get(t, 0) + df_b.get(t, 0) >= min_doc_freq
-    )
+    df_a, df_b = (Counter(t for doc in docs for t in doc.terms) for docs in (docs_a, docs_b))
+    tested = sorted(t for t, df in (df_a + df_b).items() if df >= min_doc_freq)
     if not tested:
         return []
-    chi2 = np.array(
-        [_chi2_presence(df_a.get(t, 0), n_a, df_b.get(t, 0), n_b) for t in tested]
-    )
+    chi2 = np.array([_chi2_presence(df_a[t], n_a, df_b[t], n_b) for t in tested])
     p = chdtrc(1, chi2)
     q = benjamini_hochberg(p)
     stats = []
     for i, term in enumerate(tested):
         if q[i] > q_threshold:
             continue
-        fa, fb = df_a.get(term, 0), df_b.get(term, 0)
+        fa, fb = df_a[term], df_b[term]
         direction = DIRECTION_A if fa / n_a > fb / n_b else DIRECTION_B
         stats.append(
             TermStat(
@@ -180,9 +174,10 @@ def kwic(term: str, documents, k: int, window: int = KWIC_WINDOW, seed: int = 0)
     """Sample up to ``k`` occurrences of ``term`` with character context.
 
     ``documents`` is an iterable of (doc_id, text) pairs. Term matching
-    mirrors the tokenizer: case-insensitive, bounded by non-alphanumerics.
-    Sampling is uniform without replacement and deterministic in ``seed``;
-    occurrences are returned in document order.
+    mirrors the tokenizer: case-insensitive, bounded by non-term characters;
+    term and context are cut from the original text. Sampling is uniform
+    without replacement and deterministic in ``seed``; occurrences are
+    returned in document order.
     """
     if not term:
         raise ValueError("term must be non-empty")
@@ -191,7 +186,7 @@ def kwic(term: str, documents, k: int, window: int = KWIC_WINDOW, seed: int = 0)
     if window < 1:
         raise ValueError("window must be positive")
     pattern = re.compile(
-        rf"(?<![a-z0-9]){re.escape(term.lower())}(?![a-z0-9])"
+        f"(?<![{_TERM_CHARS}]){re.escape(term.lower())}(?![{_TERM_CHARS}])"
     )
     occurrences: list[tuple[str, str, int, int]] = []
     for doc_id, text in documents:
@@ -203,6 +198,12 @@ def kwic(term: str, documents, k: int, window: int = KWIC_WINDOW, seed: int = 0)
         occurrences = [occurrences[i] for i in picks]
     lines = []
     for doc_id, text, start, end in occurrences:
+        if len(text.lower()) != len(text):
+            # unequal lengths mean some character lengthened ("İ"), as
+            # lowercasing never shortens one: map the span back onto text
+            # through the lowered offset at which each character starts
+            starts = list(accumulate((len(c.lower()) for c in text), initial=0))
+            start, end = bisect_right(starts, start) - 1, bisect_left(starts, end)
         lines.append(
             KwicLine(
                 doc_id=doc_id,

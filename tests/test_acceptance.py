@@ -11,6 +11,7 @@ import time
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -290,12 +291,15 @@ def test_criterion_7_fusion_properties():
 
 
 def _wata_corpora(rng, planted, nulls, n_docs=200, rate_a=0.6, rate_b=0.15, rate_null=0.3):
+    # one vector draw per term list takes the same uniforms, in the same
+    # order, as one scalar draw per term
+    def draw(terms, rate):
+        return set(compress(terms, rng.random(len(terms)) < rate))
+
     docs_a, docs_b = [], []
     for d in range(n_docs):
-        terms_a = {t for t in planted if rng.random() < rate_a}
-        terms_a |= {t for t in nulls if rng.random() < rate_null}
-        terms_b = {t for t in planted if rng.random() < rate_b}
-        terms_b |= {t for t in nulls if rng.random() < rate_null}
+        terms_a = draw(planted, rate_a) | draw(nulls, rate_null)
+        terms_b = draw(planted, rate_b) | draw(nulls, rate_null)
         docs_a.append(TokenizedDoc(f"a{d:03d}", frozenset(terms_a)))
         docs_b.append(TokenizedDoc(f"b{d:03d}", frozenset(terms_b)))
     return docs_a, docs_b

@@ -81,6 +81,7 @@ EVERY_OPTION = dict(
         "max_output_tokens": 64, "request_timeout": 5.0,
     }],
     wata={"q_threshold": 0.1},
+    mock={"enabled": True, "noise_sd": 0.3, "styles": {"mock-a": "plain"}},
     sample_per_uoa=3,
     alpha=0.1,
     cache_dir="cache",
@@ -155,11 +156,20 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
             {"mock": {"enabled": True, "styles": {"mock-c": "subscores"}}},
             "mock.styles.mock-c: unknown mock style 'subscores'",
         ),
+        (
+            {"models": [{"name": "m", "temperature": 0.0}, {"name": "m", "temperature": 1.0}]},
+            "duplicate model names configured",
+        ),
+        (
+            {"mock": {"enabled": True, "styles": {"mock-a": "plain", "mock-c": "plain"}}},
+            "mock.styles.mock-c: no model of that name is configured",
+        ),
     ],
     ids=[
         "list", "nested-null", "model-string", "fraction", "bool", "gold-path", "model-name",
         "list-item", "nested-object", "empty-path", "alpha-above-1", "alpha-zero",
         "bootstrap-reps", "cv-folds", "wata-q-threshold", "mock-noise-sd", "mock-style",
+        "duplicate-model", "mock-style-model",
     ],
 )
 def test_wrong_or_missing_key_is_rejected_by_name(tmp_path, extra, message, capsys):

@@ -338,8 +338,13 @@ class TestCorrelate:
     def test_type_invariants_enforced(self):
         with pytest.raises(ValueError, match="n >= 3"):
             CorrelationResult(rho=0.5, ci_low=0.4, ci_high=0.6, n=2, b_reps=100)
-        with pytest.raises(ValueError, match="outside"):
-            CorrelationResult(rho=0.9, ci_low=0.1, ci_high=0.5, n=10, b_reps=100)
+
+    def test_interval_may_exclude_point_estimate(self):
+        # a percentile interval need not contain rho; this one lies wholly
+        # above it, and analyze must report the unit, not skip it
+        res = correlate([6, 3, 3, 3, 3, 3], [6, 1, 5, 4, 3, 2], b_reps=1000, seed=142)
+        assert res.rho == pytest.approx(0.65465, abs=1e-5)
+        assert res.rho < res.ci_low <= res.ci_high
 
 
 class TestAggregateAcrossUnits:

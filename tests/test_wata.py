@@ -7,6 +7,7 @@ from scipy.special import chdtrc
 from refscore.wata import (
     DIRECTION_A,
     DIRECTION_B,
+    MIN_TERM_LENGTH,
     KwicLine,
     TermStat,
     TokenizedDoc,
@@ -310,6 +311,52 @@ class TestKwic:
             kwic("novel", self.DOCS, k=0)
         with pytest.raises(ValueError, match="window"):
             kwic("novel", self.DOCS, k=1, window=0)
+
+    def test_lengthening_lowercase_keeps_the_matched_word(self):
+        # "İ" lowers to two characters, so offsets in the lowered text run
+        # ahead of the original's
+        [line] = kwic("rigorous", [("d", "İİİİ The design is rigorous and sound.")], k=1)
+        assert line.term == "rigorous"
+        assert line.left == "İİİİ The design is "
+        assert line.right == " and sound."
+
+
+class TestTokenizerKwicEquivalence:
+    """kwic finds a term in a text exactly when tokenize lists it.
+
+    The wata stage hands kwic only the documents whose term set holds the
+    term; that filter is sound only while this equivalence holds.
+    """
+
+    TEXTS = [
+        "Mixed CASE text: Rigor, RIGOROUS rigour and MiXeD results.",
+        "Punctuation!split;words--here (and) there... end.",
+        "Digits 42, x40, 3d1 and 2025-10-19 appear.",
+        "snake_case and _lead and trail_ and a_b.",
+        "A naïve reading, naively naïve.",
+        "İstanbul and İİİİ İzmir, then plain istanbul.",
+        "Full-width １２３ and ＡＢＣ beside plain words.",
+    ]
+    # runs of term characters that are no token of any text: across a
+    # removed character, or a non-ASCII character read as ASCII
+    NON_TOKENS = {"naive", "izmir", "snakecase", "splitwords", "123", "abc"}
+
+    def test_membership_matches_on_every_probe(self):
+        terms = {text: tokenize("d", text).terms for text in self.TEXTS}
+        tokens = set().union(*terms.values())
+        # every substring of a token, which is a token itself only where the
+        # tokenizer split there
+        probes = {
+            token[i:j]
+            for token in tokens
+            for i in range(len(token))
+            for j in range(i + MIN_TERM_LENGTH, len(token) + 1)
+        } | self.NON_TOKENS
+        assert tokens < probes and len(probes - tokens) > len(self.NON_TOKENS)
+        for text in self.TEXTS:
+            for probe in sorted(probes):
+                found = bool(kwic(probe, [("d", text)], k=1))
+                assert (probe in terms[text]) == found, (probe, text)
 
 
 class TestFalseDiscoveryControl:

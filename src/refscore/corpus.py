@@ -1,9 +1,9 @@
 """Article ingestion, eligibility filtering, sampling and gold standards.
 
 Articles arrive as JSONL, one object per line with keys ``id``, ``uoa``,
-``doi`` (nullable), ``title`` and ``abstract``. Gold standards are CSV
-files with header ``article_id,score``. Few-shot exemplar pools are JSONL
-with the article keys plus ``star``.
+``doi`` (nullable), ``title`` and ``abstract``; :class:`Article` checks each
+field. Gold standards are CSV files with header ``article_id,score``.
+Few-shot exemplar pools are JSONL with the article keys plus ``star``.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .util import json_objects, substream
 
-DEFAULT_UNITS = (1, 2, 3, 4, 5, 6)
+#: the units of assessment an article may belong to
+UNITS = (1, 2, 3, 4, 5, 6)
 STAR_LEVELS = (1, 2, 3, 4)
 
 #: gold-standard kinds
@@ -31,7 +32,10 @@ SCORE_MAX = 4.0
 
 @dataclass(frozen=True)
 class Article:
-    """One journal article within a unit of assessment."""
+    """One journal article within a unit of assessment.
+
+    A null ``abstract`` becomes ``""``; every other bad field raises.
+    """
 
     id: str
     uoa: int
@@ -39,37 +43,32 @@ class Article:
     abstract: str
     doi: str | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("id must be a non-empty string")
+        if type(self.uoa) is not int:
+            raise ValueError("uoa must be an integer")
+        if self.uoa not in UNITS:
+            raise ValueError(f"uoa {self.uoa} not in units {UNITS}")
+        if not isinstance(self.title, str) or not self.title:
+            raise ValueError("title must be a non-empty string")
+        if self.abstract is None:
+            object.__setattr__(self, "abstract", "")
+        if not isinstance(self.abstract, str):
+            raise ValueError("abstract must be a string or null")
+        if self.doi is not None and (not isinstance(self.doi, str) or not self.doi):
+            raise ValueError("doi must be a non-empty string or null")
+
 
 class ArticleSet:
-    """Ordered, id-unique collection of articles.
+    """Ordered, id-unique collection of articles."""
 
-    Parameters
-    ----------
-    articles : iterable of Article
-    units : tuple of int
-        Admissible unit-of-assessment codes.
-    eligibility_filtered : bool
-        Set by :func:`filter_eligible`; marks that the eligibility screens
-        and the per-uoa shortest-decile cut have already been applied, so
-        re-filtering is a no-op.
-    """
-
-    def __init__(self, articles, units=DEFAULT_UNITS, eligibility_filtered=False):
+    def __init__(self, articles):
         self.articles: tuple[Article, ...] = tuple(articles)
-        self.units = tuple(units)
-        self.eligibility_filtered = bool(eligibility_filtered)
         self.by_id: dict[str, Article] = {}
         for art in self.articles:
-            if not art.id:
-                raise ValueError("article with empty id")
             if art.id in self.by_id:
                 raise ValueError(f"duplicate article id {art.id!r}")
-            if not art.title:
-                raise ValueError(f"article {art.id!r} has an empty title")
-            if art.uoa not in self.units:
-                raise ValueError(
-                    f"article {art.id!r} has uoa {art.uoa}, not in units {self.units}"
-                )
             self.by_id[art.id] = art
 
     def __len__(self) -> int:
@@ -89,11 +88,6 @@ class ArticleSet:
         for art in self.articles:
             grouped.setdefault(art.uoa, []).append(art)
         return grouped
-
-    def replace(self, articles, eligibility_filtered=None) -> "ArticleSet":
-        if eligibility_filtered is None:
-            eligibility_filtered = self.eligibility_filtered
-        return ArticleSet(articles, self.units, eligibility_filtered)
 
 
 @dataclass(frozen=True)
@@ -128,8 +122,8 @@ class ExemplarArticle:
     star: int
 
     def __post_init__(self):
-        if self.star not in STAR_LEVELS:
-            raise ValueError(f"exemplar {self.article.id!r} has star {self.star}")
+        if type(self.star) is not int or self.star not in STAR_LEVELS:
+            raise ValueError(f"star must be one of {STAR_LEVELS}, not {self.star!r}")
 
 
 class FewShotPool:
@@ -163,33 +157,17 @@ class FewShotPool:
         return sum(len(v) for v in self.cells.values())
 
 
-def _parse_article(obj: dict, where: str, units) -> Article:
+def _parse_article(obj: dict, where: str) -> Article:
     for key in ("id", "uoa", "title", "abstract"):
         if key not in obj:
             raise ValueError(f"{where}: missing key {key!r}")
-    art_id = obj["id"]
-    if not isinstance(art_id, str) or not art_id:
-        raise ValueError(f"{where}: id must be a non-empty string")
-    uoa = obj["uoa"]
-    if not isinstance(uoa, int) or isinstance(uoa, bool):
-        raise ValueError(f"{where}: uoa must be an integer")
-    if uoa not in units:
-        raise ValueError(f"{where}: uoa {uoa} not in units {tuple(units)}")
-    title = obj["title"]
-    if not isinstance(title, str) or not title:
-        raise ValueError(f"{where}: title must be a non-empty string")
-    abstract = obj["abstract"]
-    if abstract is None:
-        abstract = ""
-    if not isinstance(abstract, str):
-        raise ValueError(f"{where}: abstract must be a string or null")
-    doi = obj.get("doi")
-    if doi is not None and (not isinstance(doi, str) or not doi):
-        raise ValueError(f"{where}: doi must be a non-empty string or null")
-    return Article(id=art_id, uoa=uoa, title=title, abstract=abstract, doi=doi)
+    try:
+        return Article(obj["id"], obj["uoa"], obj["title"], obj["abstract"], obj.get("doi"))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
-def load_articles(path: str | Path, units=DEFAULT_UNITS) -> ArticleSet:
+def load_articles(path: str | Path) -> ArticleSet:
     """Read an article JSONL file.
 
     Malformed records fail naming the file and the offending line;
@@ -198,14 +176,14 @@ def load_articles(path: str | Path, units=DEFAULT_UNITS) -> ArticleSet:
     articles: list[Article] = []
     seen: dict[str, int] = {}
     for line_no, obj in json_objects(path):
-        art = _parse_article(obj, f"{path}: line {line_no}", units)
+        art = _parse_article(obj, f"{path}: line {line_no}")
         if art.id in seen:
             raise ValueError(
                 f"{path}: duplicate article id {art.id!r} on lines {seen[art.id]} and {line_no}"
             )
         seen[art.id] = line_no
         articles.append(art)
-    return ArticleSet(articles, units)
+    return ArticleSet(articles)
 
 
 def filter_eligible(article_set: ArticleSet) -> ArticleSet:
@@ -214,28 +192,14 @@ def filter_eligible(article_set: ArticleSet) -> ArticleSet:
     Removes articles with a missing DOI or a missing/empty abstract, then
     per uoa the strictly shortest 10% of abstracts by character count.
     The cut threshold is the length at rank floor(0.1 * n); articles tied
-    with it are all retained. A set that has already been filtered passes
-    through unchanged, so the operation is idempotent.
+    with it are all retained.
     """
-    if article_set.eligibility_filtered:
-        return article_set
-    screened = [
-        a for a in article_set
-        if a.doi and a.abstract.strip()
-    ]
-    kept: list[Article] = []
+    screened = ArticleSet(a for a in article_set if a.doi and a.abstract.strip())
     thresholds: dict[int, int] = {}
-    grouped: dict[int, list[Article]] = {}
-    for art in screened:
-        grouped.setdefault(art.uoa, []).append(art)
-    for uoa, members in grouped.items():
+    for uoa, members in screened.by_uoa().items():
         lengths = sorted(len(a.abstract) for a in members)
-        cut_rank = math.floor(0.10 * len(members))
-        thresholds[uoa] = lengths[cut_rank]
-    for art in screened:
-        if len(art.abstract) >= thresholds[art.uoa]:
-            kept.append(art)
-    return article_set.replace(kept, eligibility_filtered=True)
+        thresholds[uoa] = lengths[math.floor(0.10 * len(members))]
+    return ArticleSet(a for a in screened if len(a.abstract) >= thresholds[a.uoa])
 
 
 def sample_per_uoa(article_set: ArticleSet, n: int, seed: int) -> ArticleSet:
@@ -254,11 +218,10 @@ def sample_per_uoa(article_set: ArticleSet, n: int, seed: int) -> ArticleSet:
         rng = substream(seed, "sample-uoa", uoa)
         picks = rng.choice(len(members), size=n, replace=False)
         selected.update(members[i].id for i in picks)
-    kept = [a for a in article_set if a.id in selected]
-    return article_set.replace(kept)
+    return ArticleSet(a for a in article_set if a.id in selected)
 
 
-def load_gold_csv(path: str | Path, kind: str, article_set: ArticleSet | None = None) -> GoldStandard:
+def load_gold_csv(path: str | Path, kind: str) -> GoldStandard:
     """Read a gold CSV with header ``article_id,score``."""
     scores: dict[str, float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -273,8 +236,6 @@ def load_gold_csv(path: str | Path, kind: str, article_set: ArticleSet | None = 
                 raise ValueError(f"{path}: row {row_no}: score is not a number") from None
             if art_id in scores:
                 raise ValueError(f"{path}: duplicate article id {art_id!r}")
-            if article_set is not None and art_id not in article_set:
-                raise ValueError(f"{path}: row {row_no}: unknown article {art_id!r}")
             scores[art_id] = score
     return GoldStandard(kind, scores)
 
@@ -290,11 +251,11 @@ def load_fewshot_pool(path: str | Path, eval_set: ArticleSet) -> FewShotPool:
         where = f"{path}: line {line_no}"
         if "star" not in obj:
             raise ValueError(f"{where}: missing key 'star'")
-        star = obj["star"]
-        if star not in STAR_LEVELS:
-            raise ValueError(f"{where}: star must be one of {STAR_LEVELS}")
-        art = _parse_article(obj, where, eval_set.units)
+        art = _parse_article(obj, where)
         if art.id in eval_set:
             raise ValueError(f"{where}: exemplar {art.id!r} overlaps the evaluation set")
-        exemplars.append(ExemplarArticle(article=art, star=star))
+        try:
+            exemplars.append(ExemplarArticle(art, obj["star"]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return FewShotPool(exemplars)

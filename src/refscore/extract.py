@@ -21,18 +21,24 @@ FLAG_SUBSCORE = "subscore_fallback"
 
 _NUM = r"(\d+(?:\.\d+)?)"
 _DECOR = r"[*_]*"
+# Whitespace and emphasis markup, in any order, between a label and its value.
+# One class instead of "\s*[*_]*\s*" keeps every pattern linear in the length
+# of a run: with two "\s*" the engine tries every split of a run between them.
+_GAP = r"[\s*_]*"
 
 # Labeled overall: "Score: 3", "Score: 3*", "****Score: 3*****",
 # "**Score: 3* (Internationally Excellent)**". "scores" (plural) never
 # matches, so few-shot exemplar lines echoed back are not misread.
 _OVERALL_LABELED = re.compile(
-    rf"\bscore\b\s*:\s*{_DECOR}\s*{_NUM}", re.IGNORECASE
+    rf"\bscore\b\s*:{_GAP}{_NUM}", re.IGNORECASE
 )
 
 # Phrase-anchored overall: "3* (Internationally Excellent)" and the other
-# star-level phrases.
+# star-level phrases. The number must start a number: "(?<![\d.]\d)" after
+# its first digit rejects a start inside a digit run or after a decimal
+# point, without the cost of a lookbehind at the start of the pattern.
 _OVERALL_PHRASE = re.compile(
-    rf"{_NUM}\s*\*+\s*\(\s*(?:nationally|internationally|world)",
+    r"(\d(?<![\d.]\d)\d*(?:\.\d+)?)\s*\*+\s*\(\s*(?:nationally|internationally|world)",
     re.IGNORECASE,
 )
 
@@ -40,7 +46,7 @@ _OVERALL_PHRASE = re.compile(
 # with optional bold markup. Both spellings of rigour are accepted. The
 # value must end in a star or "/4" so prose like "significance (0.05)"
 # is never misread as a sub-score.
-_SUB_BODY = rf"\s*{_DECOR}\s*[:(]\s*{_DECOR}\s*{_NUM}\s*(?:/\s*4|\*)"
+_SUB_BODY = rf"{_GAP}[:(]{_GAP}{_NUM}\s*(?:/\s*4|\*)"
 _SUB_PATTERNS = {
     "originality": re.compile(rf"\boriginality\b{_SUB_BODY}", re.IGNORECASE),
     "significance": re.compile(rf"\bsignificance\b{_SUB_BODY}", re.IGNORECASE),
@@ -51,8 +57,8 @@ _SUB_PATTERNS = {
 # "(Article 1: 2/4". Two or more distinct article numbers mean the model
 # scored several articles instead of the target.
 _ARTICLE_SCORE = re.compile(
-    rf"\barticle\s*(\d+){_DECOR}\s*(?:\([^)]*\))?\s*[:\-]\s*{_DECOR}"
-    rf"\s*(?:score\s*[:\-]?\s*)?{_DECOR}\s*{_NUM}",
+    rf"\barticle\s*(\d+){_DECOR}\s*(?:\([^)]*\)\s*)?[:\-]{_GAP}"
+    rf"(?:score(?:\s*[:\-])?{_GAP})?{_NUM}",
     re.IGNORECASE,
 )
 

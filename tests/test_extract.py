@@ -1,10 +1,13 @@
 """Tests for report parsing and score extraction."""
 import json
+import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from refscore import extract
 from refscore.extract import (
     FLAG_CLAMPED,
     FLAG_MULTI,
@@ -232,3 +235,121 @@ class TestZeroNoiseRecovery:
             value = analysis.effective
             assert SCORE_MIN <= value <= SCORE_MAX
             assert value * 2 == int(value * 2)
+
+
+class TestLinearTime:
+    # each shape took seconds to minutes with two "\s*" around the markup
+    # class; 100k characters must parse well inside the bound
+    N = 100_000
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Article 1:" + " " * N + "(see table)",
+            "Article 1:" + "\n" * N + "(see table)",
+            "Article 1: score" + " " * N,
+            "Rigour" + " " * N,
+            "Originality:" + " " * N,
+            "score:" + " " * N,
+            "7" * N,
+        ],
+        ids=[
+            "article-spaces", "article-newlines", "article-score-spaces",
+            "label-spaces", "label-colon-spaces", "score-colon-spaces", "digit-run",
+        ],
+    )
+    def test_adversarial_shape_parses_fast(self, text):
+        start = time.perf_counter()
+        analyze_report(text)
+        assert time.perf_counter() - start < 0.5
+
+
+class TestGapInterleavings:
+    # the one gap class accepts whitespace and markup in any order
+    def test_interleaved_markup_before_overall(self):
+        assert parse_scores("Score: * _ * 3").overall == 3.0
+
+    def test_interleaved_markup_before_subscore(self):
+        assert parse_scores("Originality: _ * 3*").originality == 3.0
+
+    def test_phrase_number_never_starts_after_a_point(self):
+        parsed = parse_scores("rated .5* (World leading)")
+        assert parsed.overall is None
+        assert FLAG_NO_SCORE in parsed.flags
+
+
+# The patterns of the earlier parser, kept as the reference: the linear
+# rewrite must find the same matches on every ordinary report.
+_OLD_NUM = r"(\d+(?:\.\d+)?)"
+_OLD_DECOR = r"[*_]*"
+_OLD_SUB_BODY = rf"\s*{_OLD_DECOR}\s*[:(]\s*{_OLD_DECOR}\s*{_OLD_NUM}\s*(?:/\s*4|\*)"
+OLD_PATTERNS = {
+    "labeled": re.compile(rf"\bscore\b\s*:\s*{_OLD_DECOR}\s*{_OLD_NUM}", re.I),
+    "phrase": re.compile(
+        rf"{_OLD_NUM}\s*\*+\s*\(\s*(?:nationally|internationally|world)", re.I
+    ),
+    "originality": re.compile(rf"\boriginality\b{_OLD_SUB_BODY}", re.I),
+    "significance": re.compile(rf"\bsignificance\b{_OLD_SUB_BODY}", re.I),
+    "rigour": re.compile(rf"\brigou?r\b{_OLD_SUB_BODY}", re.I),
+    "article": re.compile(
+        rf"\barticle\s*(\d+){_OLD_DECOR}\s*(?:\([^)]*\))?\s*[:\-]\s*{_OLD_DECOR}"
+        rf"\s*(?:score\s*[:\-]?\s*)?{_OLD_DECOR}\s*{_OLD_NUM}",
+        re.I,
+    ),
+}
+NEW_PATTERNS = {
+    "labeled": extract._OVERALL_LABELED,
+    "phrase": extract._OVERALL_PHRASE,
+    **extract._SUB_PATTERNS,
+    "article": extract._ARTICLE_SCORE,
+}
+HAND_REPORTS = [
+    "",
+    "Article 1: score **3*\nArticle 2: 2*",
+    "- Article 1 : Score 1*\n- Article 2 : Score 4*",
+    "(Article 1: 2/4) and (Article 2: 3/4)",
+    "Article 3 (the cohort study): 2*\nArticle 4 (trial) - 3*",
+    "Article 2 - score: 3",
+    "**Article 1**: **3***",
+    "Article 1:" + " " * 200 + "(see table)",
+    "**Score: 3* (Internationally Excellent)**",
+    "****Score: 3*****",
+    "**Score:** 2.5",
+    "Score : _4_",
+    "Score:" + " " * 200,
+    "Final Scores: 4",
+    "1.5* (World leading) then 3 ** ( internationally excellent)",
+    "12* (world class)",
+    "7" * 300 + "* (World leading)",
+    "Originality (3*) and **Originality ( 2* )**",
+    "Significance: 3/4, though significance (0.05) is prose",
+    "Rigor: 2 / 4",
+]
+
+
+def _mock_reports():
+    rng = np.random.default_rng(11)
+    for style in MOCK_STYLES:
+        for seed in range(150):
+            yield simulate_completion(float(rng.uniform(0.5, 4.5)), 1.0, seed, style=style)
+
+
+class TestAgreesWithEarlierPatterns:
+    def _matches(self, pattern, text):
+        return [(m.span(), m.groups()) for m in pattern.finditer(text)]
+
+    def _assert_agree(self, text):
+        for name, old in OLD_PATTERNS.items():
+            assert self._matches(NEW_PATTERNS[name], text) == self._matches(old, text), name
+
+    def test_fixtures(self):
+        for path in sorted(FIXTURE_DIR.glob("*.txt")):
+            self._assert_agree(path.read_text())
+
+    def test_seeded_mock_reports(self):
+        for text in _mock_reports():
+            self._assert_agree(text)
+
+    @pytest.mark.parametrize("text", HAND_REPORTS)
+    def test_hand_reports(self, text):
+        self._assert_agree(text)

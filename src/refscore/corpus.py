@@ -127,9 +127,11 @@ class ExemplarArticle:
 
 
 class FewShotPool:
-    """Exactly two exemplars per (uoa, star) cell, all four star levels per uoa."""
+    """Two exemplars per (uoa, star) cell, all four star levels per uoa, no id twice."""
 
     def __init__(self, exemplars):
+        exemplars = tuple(exemplars)
+        ArticleSet(ex.article for ex in exemplars)  # fails naming a repeated id
         cells: dict[tuple[int, int], list[ExemplarArticle]] = {}
         for ex in exemplars:
             cells.setdefault((ex.article.uoa, ex.star), []).append(ex)

@@ -7,7 +7,7 @@ via stratified cross-validation.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,8 +104,6 @@ def best_single(matrix: ScoreMatrix, gold_scores: dict[str, float]) -> tuple[Col
     best_rho = -np.inf
     for key in matrix.columns:
         _, x, y = matrix.paired_with_gold(key, gold_scores)
-        if len(x) < 3:
-            continue
         try:
             rho = spearman(x, y)
         except ValueError:
@@ -203,28 +201,19 @@ def _generation_draws(rng, population: int, dim: int, crossover: float):
     return picks, cross
 
 
-def _fit_lockstep(columns, designs, golds, seeds, params: DEParams):
+def _fit_lockstep(columns, designs, golds, seeds, params: DEParams) -> list[FusionWeights]:
     """Fit one weight vector per (design, gold, seed) by DE/rand/1/bin.
 
     The fits advance together: one (K, P, dim) population and one
     objective call per generation. Fit k still draws only from substreams
     of ``seeds[k]``, in the layout of a lone fit, and its rhos are exact
     (see :func:`_make_objective`), so each result equals fitting that
-    problem on its own.
-
-    Returns the fits before the first one that fails and that failure (or
-    None), so a caller can raise errors in the order a fit-by-fit loop would.
+    problem on its own. A fit that cannot be made raises before the first
+    generation.
     """
     dim = len(columns)
-    error = None
-    for k, gold in enumerate(golds):
-        try:
-            _check_fit(dim, gold)
-        except ValueError as exc:
-            designs, golds, seeds, error = designs[:k], golds[:k], seeds[:k], exc
-            break
-    if not designs:
-        return [], error
+    for gold in golds:
+        _check_fit(dim, gold)
     np_ = params.population
     objective = _make_objective(designs, golds)
     population = np.stack([
@@ -232,7 +221,8 @@ def _fit_lockstep(columns, designs, golds, seeds, params: DEParams):
         for seed in seeds
     ])
     fitness = objective(population)
-    undefined = ~np.isfinite(fitness).any(axis=1)
+    if not np.isfinite(fitness).any(axis=1).all():
+        raise ValueError("objective undefined for every initial candidate")
     history = np.empty((params.generations, len(designs)))
     fit_of = np.arange(len(designs))[:, None]
     rows = np.arange(np_)[:, None]
@@ -259,22 +249,15 @@ def _fit_lockstep(columns, designs, golds, seeds, params: DEParams):
         fitness[improved] = trial_fits[improved]
         history[gen] = fitness.max(axis=1)
     best = fitness.argmax(axis=1)
-    fits: list[FusionWeights] = []
-    for k in range(len(designs)):
-        if undefined[k]:
-            return fits, ValueError("objective undefined for every initial candidate")
-        try:
-            fits.append(
-                FusionWeights(
-                    columns=tuple(columns),
-                    weights=tuple(float(w) for w in population[k, best[k]]),
-                    objective=float(fitness[k, best[k]]),
-                    history=tuple(float(h) for h in history[:, k]),
-                )
-            )
-        except ValueError as exc:
-            return fits, exc
-    return fits, error
+    return [
+        FusionWeights(
+            columns=tuple(columns),
+            weights=tuple(float(w) for w in population[k, best[k]]),
+            objective=float(fitness[k, best[k]]),
+            history=tuple(float(h) for h in history[:, k]),
+        )
+        for k in range(len(designs))
+    ]
 
 
 def de_optimize(
@@ -294,10 +277,7 @@ def de_optimize(
     clipped onto it.
     """
     _, columns, design, gold = _complete_design(matrix, gold_scores)
-    fits, error = _fit_lockstep(columns, [design], [gold], [seed], params or DEParams())
-    if error is not None:
-        raise error
-    return fits[0]
+    return _fit_lockstep(columns, [design], [gold], [seed], params or DEParams())[0]
 
 
 def fused_scores(matrix: ScoreMatrix, weights: FusionWeights) -> dict[str, float]:
@@ -376,7 +356,7 @@ def cv_fusion(
     assignment = assign_folds(ids, folds, seed, uoa_by_article)
     fold_of = np.array([assignment[i] for i in ids])
     train = [fold_of != fold for fold in range(folds)]
-    fits, error = _fit_lockstep(
+    fits = _fit_lockstep(
         columns,
         [design[rows] for rows in train],
         [gold[rows] for rows in train],
@@ -385,17 +365,13 @@ def cv_fusion(
     )
     fold_rhos: list[float] = []
     for fold, weights in enumerate(fits):
-        test_ids = [i for i in ids if assignment[i] == fold]
-        fused = fused_scores(matrix.subset(test_ids), weights)
-        x = [fused[i] for i in test_ids]
-        y = [gold_scores[i] for i in test_ids]
+        # a dot per row, as one article is fused: design[test] @ w may differ in the last bit
+        w = np.array(weights.weights)
+        test = ~train[fold]
         try:
-            rho = spearman(x, y)
+            fold_rhos.append(spearman([row @ w for row in design[test]], gold[test]))
         except ValueError as exc:
             raise ValueError(f"fold {fold} cannot support a correlation: {exc}") from None
-        fold_rhos.append(rho)
-    if error is not None:
-        raise error
     return CvResult(
         mean_rho=float(np.mean(fold_rhos)),
         fold_rhos=tuple(fold_rhos),
@@ -405,7 +381,7 @@ def cv_fusion(
 
 @dataclass(frozen=True)
 class FusionRow:
-    """One row of the fusion comparison table."""
+    """One row of the fusion comparison table, its fields in FUSION_COLUMNS order."""
 
     label: str
     mean_rho: float
@@ -413,10 +389,6 @@ class FusionRow:
     best_single_rho: float
     rank_average_rho: float
     cv_rho: float
-
-    def as_mapping(self) -> dict[str, float | str]:
-        # the fields are declared in column order
-        return dict(zip(FUSION_COLUMNS, astuple(self)))
 
 
 def fusion_row(

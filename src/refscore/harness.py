@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import shutil
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from itertools import combinations
 from pathlib import Path
 from types import NoneType, UnionType
@@ -319,11 +320,6 @@ GOLDS = "gold_{kind}.csv"
 RECORDS = "records.jsonl"
 PARSED = "parsed.jsonl"
 MATRIX = "matrix.csv"
-# the stage that writes each out_dir file a later stage reads; "{kind}" in
-# a name stands for each configured gold kind
-WRITER = {
-    ARTICLES: "ingest", GOLDS: "ingest", RECORDS: "score", PARSED: "extract", MATRIX: "analyze"
-}
 
 
 def _write_jsonl(path: Path, rows) -> None:
@@ -699,7 +695,7 @@ def _weights_json(cv) -> list[dict]:
 
 def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
     # each row as its label, then its values in FUSION_COLUMNS order
-    table = [list(row.as_mapping().values()) for row in rows]
+    table = [astuple(row) for row in rows]
     write_csv(
         cfg.out_dir / f"fusion_{kind}.csv",
         FUSION_COLUMNS,
@@ -814,30 +810,46 @@ def stage_violin(cfg: ExperimentConfig) -> dict:
 
 
 class Stage(NamedTuple):
-    """One pipeline stage: its function, its command-line help and the
-    ``out_dir`` files it reads, in the order it reads them."""
+    """One pipeline stage: its function, its command-line help, the ``out_dir``
+    files it reads, in the order it reads them, and the files and directories
+    (with a trailing "/") it writes. "{kind}" stands for each gold kind."""
 
     run: Callable[[ExperimentConfig], dict]
     help: str
-    reads: tuple[str, ...] = ()
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
 
 
 # the pipeline, in order; STAGES and the CLI subcommands come from here
 PIPELINE = {
-    "ingest": Stage(stage_ingest, "load, filter and sample articles; validate gold files"),
-    "prompt": Stage(stage_prompt, "write per-article prompt dumps for audit", (ARTICLES,)),
+    "ingest": Stage(
+        stage_ingest, "load, filter and sample articles; validate gold files", (),
+        (ARTICLES, GOLDS),
+    ),
+    "prompt": Stage(
+        stage_prompt, "write per-article prompt dumps for audit", (ARTICLES,), ("prompts/",)
+    ),
     "score": Stage(
-        stage_score, "run the completion batch (live endpoints or --mock)", (ARTICLES, GOLDS)
+        stage_score, "run the completion batch (live endpoints or --mock)", (ARTICLES, GOLDS),
+        (RECORDS,),
     ),
-    "extract": Stage(stage_extract, "parse raw reports into scores and flags", (RECORDS,)),
+    "extract": Stage(
+        stage_extract, "parse raw reports into scores and flags", (RECORDS,), (PARSED,)
+    ),
     "analyze": Stage(
-        stage_analyze,
-        "build the score matrix and correlation tables",
-        (ARTICLES, GOLDS, PARSED),
+        stage_analyze, "build the score matrix and correlation tables",
+        (ARTICLES, GOLDS, PARSED), (MATRIX, "correlations.csv", "aggregates.csv"),
     ),
-    "fuse": Stage(stage_fuse, "fit and cross-validate fusion weights", (ARTICLES, GOLDS, MATRIX)),
-    "wata": Stage(stage_wata, "contrast report term usage between corpora", (RECORDS,)),
-    "violin": Stage(stage_violin, "render score distributions by gold level", (GOLDS, MATRIX)),
+    "fuse": Stage(
+        stage_fuse, "fit and cross-validate fusion weights", (ARTICLES, GOLDS, MATRIX),
+        ("fusion_{kind}.csv", "fusion_{kind}_weights.json", "fusion_{kind}_summary.txt"),
+    ),
+    "wata": Stage(
+        stage_wata, "contrast report term usage between corpora", (RECORDS,), ("wata/",)
+    ),
+    "violin": Stage(
+        stage_violin, "render score distributions by gold level", (GOLDS, MATRIX), ("violins/",)
+    ),
 }
 STAGES = tuple(PIPELINE)
 
@@ -847,14 +859,27 @@ def _check_inputs(cfg: ExperimentConfig, reads: tuple[str, ...]) -> None:
         for kind in [kind for kind, _ in cfg.golds] if name == GOLDS else [""]:
             path = cfg.out_dir / name.format(kind=kind)
             if not path.exists():
-                raise FileNotFoundError(f"{path} is missing; run the {WRITER[name]!r} stage first")
+                writer = next(s for s, stage in PIPELINE.items() if name in stage.writes)
+                raise FileNotFoundError(f"{path} is missing; run the {writer!r} stage first")
+
+
+def _clear_outputs(cfg: ExperimentConfig, writes: tuple[str, ...]) -> None:
+    """Remove what a stage wrote before, under every gold kind."""
+    for name in {w.format(kind=kind) for w in writes for kind in GOLD_KINDS}:
+        path = cfg.out_dir / name
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
 
 
 def run_stages(cfg: ExperimentConfig, stages) -> dict:
     """Run the named stages in pipeline order, updating the manifest.
 
     A stage whose input file is missing fails before it runs, naming the
-    stage that writes the file. On failure the manifest records the failing
+    stage that writes the file. Otherwise the stage's earlier outputs are
+    removed before it runs, so ``out_dir`` holds only what the latest run
+    of each stage wrote. On failure the manifest records the failing
     stage and the error, the partial outputs stay on disk, and the exception
     propagates.
     """
@@ -868,6 +893,7 @@ def run_stages(cfg: ExperimentConfig, stages) -> dict:
         stage = PIPELINE[name]
         try:
             _check_inputs(cfg, stage.reads)
+            _clear_outputs(cfg, stage.writes)
             counts = stage.run(cfg)
         except Exception as exc:
             manifest["failure"] = {"stage": name, "error": str(exc)}

@@ -313,6 +313,21 @@ class TestFewShotPool:
         with pytest.raises(ValueError, match="line 17: expected a JSON object"):
             load_fewshot_pool(path, make_set(n=2, uoas=(1, 2)))
 
+    def test_one_article_as_both_exemplars_of_a_cell_rejected(self, tmp_path, pool_rows):
+        rows = [dict(r, id="ex-u1-s3-0") if r["id"] == "ex-u1-s3-1" else r for r in pool_rows]
+        path = write_jsonl(tmp_path / "pool.jsonl", rows)
+        with pytest.raises(ValueError, match="duplicate article id 'ex-u1-s3-0'"):
+            load_fewshot_pool(path, make_set(n=2, uoas=(1, 2)))
+
+    def test_one_article_under_two_stars_rejected(self):
+        from refscore.corpus import ExemplarArticle
+        arts = [make_article(100 + i, uoa=1) for i in range(8)]
+        # the 3* cell's second exemplar is the 2* cell's first article
+        arts[5] = arts[2]
+        exemplars = [ExemplarArticle(a, 1 + i // 2) for i, a in enumerate(arts)]
+        with pytest.raises(ValueError, match=f"duplicate article id {arts[2].id!r}"):
+            FewShotPool(exemplars)
+
     def test_missing_cell_via_constructor(self):
         pool_arts = [
             make_article(100 + star * 2 + c, uoa=1)

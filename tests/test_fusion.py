@@ -1,8 +1,12 @@
 """Tests for score fusion and the cross-validated weight fit."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from refscore import fusion
 from refscore.fusion import (
+    FUSION_COLUMNS,
     CvResult,
     DEParams,
     FusionWeights,
@@ -261,6 +265,18 @@ class TestDeOptimize:
         with pytest.raises(ValueError, match="constant"):
             de_optimize(matrix, gold, params=FAST_DE)
 
+    def test_undefined_objective_fails_before_the_first_generation(self, monkeypatch):
+        # constant columns fuse to a constant vector for every candidate
+        def no_generation(*args):
+            raise AssertionError("a generation ran")
+
+        monkeypatch.setattr(fusion, "_generation_draws", no_generation)
+        ids = [f"a{i:02d}" for i in range(12)]
+        matrix = build_matrix({(m, "zero"): {i: 2.5 for i in ids} for m in ("m0", "m1")})
+        gold = {i: 1.0 + 0.2 * n for n, i in enumerate(ids)}
+        with pytest.raises(ValueError, match="objective undefined"):
+            de_optimize(matrix, gold, params=FAST_DE)
+
     def test_params_validation(self):
         with pytest.raises(ValueError, match="population"):
             DEParams(population=2)
@@ -372,11 +388,12 @@ class TestCvFusion:
 
     def test_fold_failure_names_the_fold(self):
         # a test fold whose fused scores are all tied cannot be correlated;
-        # the error must say which fold
+        # the error must say which fold. Every training set also holds
+        # untied rows, so every fit succeeds.
         rng = np.random.default_rng(17)
-        n = 24
+        n = 36
         ids = [f"a{i:02d}" for i in range(n)]
-        assignment = assign_folds(ids, folds=2, seed=0)
+        assignment = assign_folds(ids, folds=3, seed=0)
         held_out = {i for i in ids if assignment[i] == 0}
         cols = {}
         for model in ("m0", "m1"):
@@ -386,8 +403,8 @@ class TestCvFusion:
             cols[(model, "zero")] = col
         matrix = build_matrix(cols)
         gold = {i: float(rng.uniform(1, 4)) for i in ids}
-        with pytest.raises(ValueError, match="fold 0"):
-            cv_fusion(matrix, gold, folds=2, seed=0, params=FAST_DE)
+        with pytest.raises(ValueError, match="fold 0 cannot support a correlation"):
+            cv_fusion(matrix, gold, folds=3, seed=0, params=FAST_DE)
 
 
 def sequential_de(design, gold, params, seed):
@@ -478,19 +495,6 @@ class TestLockstepFolds:
         expected = sequential_de(design, np.array([gold[i] for i in ids]), FAST_DE, 5)
         assert (fit.weights, fit.objective, fit.history) == expected
 
-    def test_later_fold_failure_waits_for_earlier_folds(self):
-        # gold is constant outside fold 1, so fold 1 cannot be fitted and
-        # fold 0 cannot be tested; fold by fold, fold 0's test fails first
-        ids = [f"a{i:02d}" for i in range(30)]
-        assignment = assign_folds(ids, folds=3, seed=0)
-        rng = np.random.default_rng(22)
-        matrix = build_matrix(
-            {(m, "zero"): {i: float(rng.uniform(1, 4)) for i in ids} for m in ("m0", "m1")}
-        )
-        gold = {i: float(rng.uniform(1, 4)) if assignment[i] == 1 else 2.0 for i in ids}
-        with pytest.raises(ValueError, match="fold 0 cannot support a correlation"):
-            cv_fusion(matrix, gold, folds=3, seed=0, params=FAST_DE)
-
 
 class TestFusionRow:
     def test_row_mapping_keys(self):
@@ -505,7 +509,7 @@ class TestFusionRow:
         matrix = build_matrix(cols)
         gold = dict(zip(ids, gold_vec.tolist()))
         row, cv = fusion_row("1", matrix, gold, folds=3, params=FAST_DE)
-        mapping = row.as_mapping()
+        mapping = dict(zip(FUSION_COLUMNS, astuple(row)))
         assert list(mapping) == [
             "uoa", "mean", "median", "best-single", "rank-average", "cv-mean"
         ]

@@ -12,7 +12,6 @@ from refscore.harness import (
     PIPELINE,
     SCHEMA_VERSION,
     STAGES,
-    WRITER,
     ExperimentConfig,
     build_matrix,
     load_config,
@@ -308,6 +307,10 @@ class TestStageIsolation:
 STAGE_INPUTS = [(stage, name) for stage, entry in PIPELINE.items() for name in entry.reads]
 
 
+def writer_of(name: str) -> str:
+    return next(stage for stage, entry in PIPELINE.items() if name in entry.writes)
+
+
 class TestStageInputs:
     def test_each_input_is_written_by_an_earlier_stage(self):
         assert STAGES == (
@@ -315,7 +318,7 @@ class TestStageInputs:
         )
         for position, (stage, entry) in enumerate(PIPELINE.items()):
             for name in entry.reads:
-                assert STAGES.index(WRITER[name]) < position, (stage, name)
+                assert STAGES.index(writer_of(name)) < position, (stage, name)
 
     @pytest.mark.parametrize(
         "stage, name", STAGE_INPUTS, ids=[f"{s}-{n}" for s, n in STAGE_INPUTS]
@@ -334,13 +337,40 @@ class TestStageInputs:
         missing = cfg.out_dir / name.format(kind=kinds[-1])
         missing.unlink()
         before = sorted(p.name for p in cfg.out_dir.iterdir())
-        message = f"{missing} is missing; run the '{WRITER[name]}' stage first"
+        message = f"{missing} is missing; run the '{writer_of(name)}' stage first"
         with pytest.raises(FileNotFoundError, match=re.escape(message)):
             run_stages(cfg, (stage,))
         manifest = json.loads((cfg.out_dir / "manifest.json").read_text())
         assert manifest["failure"]["stage"] == stage
         after = sorted(p.relative_to(cfg.out_dir) for p in cfg.out_dir.rglob("*"))
         assert after == sorted(Path(n) for n in before + ["manifest.json"])
+
+
+class TestStageOutputs:
+    def test_each_stage_creates_what_it_declares(self, mini_run, tmp_path):
+        cfg = load_config(mini_run["cfg_path"], {"out": str(tmp_path / "out")})
+        kinds = [kind for kind, _ in cfg.golds]
+        earlier = {"manifest.json"}
+        for stage, entry in PIPELINE.items():
+            run_stages(cfg, (stage,))
+            # a directory is listed with a trailing "/", as the stage declares it
+            made = {p.name + "/" * p.is_dir() for p in cfg.out_dir.iterdir()} - earlier
+            assert made == {name.format(kind=k) for name in entry.writes for k in kinds}, stage
+            earlier |= made
+
+    def test_rerun_leaves_nothing_of_dropped_models_and_golds(self, tmp_path):
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1, 2), per_uoa=18, seed=4)
+        mock = {"enabled": True, "noise_sd": 0.3}
+        models = [{"name": name} for name in ("m-a", "m-b", "m-c")]
+        run_stages(load_config(write_config(tmp_path, corpus, models=models, mock=mock)), STAGES)
+        individual = [{"kind": "individual", "path": corpus["gold_individual"].name}]
+        cfg = load_config(
+            write_config(tmp_path, corpus, models=models[:2], golds=individual, mock=mock)
+        )
+        run_stages(cfg, STAGES)
+        names = [str(p.relative_to(cfg.out_dir)) for p in cfg.out_dir.rglob("*")]
+        assert any("m-b" in name for name in names)
+        assert [n for n in names if "m-c" in n or "departmental_proxy" in n] == []
 
 
 class TestByteDeterminism:

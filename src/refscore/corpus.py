@@ -130,10 +130,12 @@ class FewShotPool:
     """Two exemplars per (uoa, star) cell, all four star levels per uoa, no id twice."""
 
     def __init__(self, exemplars):
-        exemplars = tuple(exemplars)
-        ArticleSet(ex.article for ex in exemplars)  # fails naming a repeated id
         cells: dict[tuple[int, int], list[ExemplarArticle]] = {}
+        seen: set[str] = set()
         for ex in exemplars:
+            if ex.article.id in seen:
+                raise ValueError(f"few-shot pool repeats exemplar id {ex.article.id!r}")
+            seen.add(ex.article.id)
             cells.setdefault((ex.article.uoa, ex.star), []).append(ex)
         for (uoa, star), members in sorted(cells.items()):
             if len(members) != 2:
@@ -243,11 +245,8 @@ def load_gold_csv(path: str | Path, kind: str) -> GoldStandard:
 
 
 def load_fewshot_pool(path: str | Path, eval_set: ArticleSet) -> FewShotPool:
-    """Read an exemplar JSONL file and validate it against the evaluation set.
-
-    Exemplar ids must be disjoint from the evaluation set; each (uoa, star)
-    cell present must hold exactly two exemplars.
-    """
+    """Read an exemplar JSONL file whose ids are disjoint from the evaluation
+    set. Every error names the file, and the line where it has one."""
     exemplars: list[ExemplarArticle] = []
     for line_no, obj in json_objects(path):
         where = f"{path}: line {line_no}"
@@ -260,4 +259,7 @@ def load_fewshot_pool(path: str | Path, eval_set: ArticleSet) -> FewShotPool:
             exemplars.append(ExemplarArticle(art, obj["star"]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    return FewShotPool(exemplars)
+    try:
+        return FewShotPool(exemplars)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

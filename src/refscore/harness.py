@@ -864,24 +864,22 @@ def _check_inputs(cfg: ExperimentConfig, reads: tuple[str, ...]) -> None:
 
 
 def _clear_outputs(cfg: ExperimentConfig, writes: tuple[str, ...]) -> None:
-    """Remove what a stage wrote before, under every gold kind."""
-    for name in {w.format(kind=kind) for w in writes for kind in GOLD_KINDS}:
-        path = cfg.out_dir / name
-        if path.is_dir():
-            shutil.rmtree(path)
-        else:
-            path.unlink(missing_ok=True)
+    """Remove a stage's earlier directories and its files of dropped gold kinds."""
+    dropped = set(GOLD_KINDS) - {kind for kind, _ in cfg.golds}
+    for name in writes:
+        if name.endswith("/"):
+            shutil.rmtree(cfg.out_dir / name, ignore_errors=True)
+        for kind in dropped if "{kind}" in name else ():
+            (cfg.out_dir / name.format(kind=kind)).unlink(missing_ok=True)
 
 
 def run_stages(cfg: ExperimentConfig, stages) -> dict:
     """Run the named stages in pipeline order, updating the manifest.
 
     A stage whose input file is missing fails before it runs, naming the
-    stage that writes the file. Otherwise the stage's earlier outputs are
-    removed before it runs, so ``out_dir`` holds only what the latest run
-    of each stage wrote. On failure the manifest records the failing
-    stage and the error, the partial outputs stay on disk, and the exception
-    propagates.
+    stage that writes the file. A rerun keeps a stage's earlier files until
+    it replaces them on success. On failure the manifest records the
+    failing stage and the error, and the exception propagates.
     """
     order = [s for s in STAGES if s in set(stages)]
     unknown = set(stages) - set(STAGES)

@@ -269,7 +269,7 @@ class TestFewShotPool:
     def test_missing_cell_named(self, tmp_path, pool_rows):
         rows = [r for r in pool_rows if not (r["uoa"] == 2 and r["star"] == 3)]
         path = write_jsonl(tmp_path / "pool.jsonl", rows)
-        with pytest.raises(ValueError, match=r"uoa 2, 3\*"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: few-shot pool cell (uoa 2, 3*)")):
             load_fewshot_pool(path, make_set(n=2, uoas=(1, 2)))
 
     def test_overfull_cell_rejected(self, tmp_path, pool_rows):
@@ -316,7 +316,8 @@ class TestFewShotPool:
     def test_one_article_as_both_exemplars_of_a_cell_rejected(self, tmp_path, pool_rows):
         rows = [dict(r, id="ex-u1-s3-0") if r["id"] == "ex-u1-s3-1" else r for r in pool_rows]
         path = write_jsonl(tmp_path / "pool.jsonl", rows)
-        with pytest.raises(ValueError, match="duplicate article id 'ex-u1-s3-0'"):
+        message = f"{path}: few-shot pool repeats exemplar id 'ex-u1-s3-0'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_fewshot_pool(path, make_set(n=2, uoas=(1, 2)))
 
     def test_one_article_under_two_stars_rejected(self):
@@ -325,7 +326,7 @@ class TestFewShotPool:
         # the 3* cell's second exemplar is the 2* cell's first article
         arts[5] = arts[2]
         exemplars = [ExemplarArticle(a, 1 + i // 2) for i, a in enumerate(arts)]
-        with pytest.raises(ValueError, match=f"duplicate article id {arts[2].id!r}"):
+        with pytest.raises(ValueError, match=f"repeats exemplar id {arts[2].id!r}"):
             FewShotPool(exemplars)
 
     def test_missing_cell_via_constructor(self):

@@ -372,6 +372,24 @@ class TestStageOutputs:
         assert any("m-b" in name for name in names)
         assert [n for n in names if "m-c" in n or "departmental_proxy" in n] == []
 
+    def test_failed_live_rescore_keeps_the_earlier_records(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REFSCORE_TEST_KEY_A", raising=False)
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+        run_stages(load_config(write_config(tmp_path, corpus)), ("ingest", "score"))
+        records = (tmp_path / "out" / "records.jsonl").read_bytes()
+        live = [{"name": "mock-a", "base_url": "http://127.0.0.1:9",
+                 "api_key_env": "REFSCORE_TEST_KEY_A"}]
+        cfg = load_config(write_config(tmp_path, corpus, models=live, mock=False))
+        with pytest.raises(gateway.GatewayError, match="REFSCORE_TEST_KEY_A"):
+            run_stages(cfg, ("score",))
+        assert (cfg.out_dir / "records.jsonl").read_bytes() == records
+
+    def test_ingest_into_the_corpus_directory_reads_its_inputs(self, tmp_path):
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+        cfg = load_config(write_config(tmp_path, corpus, out_dir="."))
+        assert run_stages(cfg, ("ingest",))["failure"] is None
+        assert (tmp_path / "gold_individual.csv").exists()
+
 
 class TestByteDeterminism:
     def test_two_runs_identical_bytes(self, mini_run, tmp_path):

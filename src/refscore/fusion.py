@@ -8,12 +8,13 @@ via stratified cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .corpus import SCORE_MAX, SCORE_MIN
 from .stats import ColumnKey, ScoreCell, ScoreMatrix, midranks, midranks_2d, spearman
-from .util import substream
+from .util import substream, substreams
 
 #: every fusion weight lies in [WEIGHT_MIN, WEIGHT_MAX]
 WEIGHT_MIN = 0.0
@@ -226,12 +227,14 @@ def _fit_lockstep(columns, designs, golds, seeds, params: DEParams) -> list[Fusi
     history = np.empty((params.generations, len(designs)))
     fit_of = np.arange(len(designs))[:, None]
     rows = np.arange(np_)[:, None]
+    # every (seed, "de", gen) stream, seeded in one batch, generation-major
+    streams = substreams((seed, "de", gen) for gen in range(params.generations) for seed in seeds)
     for gen in range(params.generations):
         # trials depend only on the generation-start population and on
         # draws made before any evaluation, so the fits cannot interact
         draws = [
-            _generation_draws(substream(seed, "de", gen), np_, dim, params.crossover)
-            for seed in seeds
+            _generation_draws(rng, np_, dim, params.crossover)
+            for rng in islice(streams, len(seeds))
         ]
         picks = np.stack([p for p, _ in draws])
         cross = np.stack([c for _, c in draws])

@@ -345,6 +345,10 @@ def run_batch(
     hits are read in the calling thread before any request is sent; only
     the misses go to a worker pool, and ``concurrency_limit`` bounds those
     requests to the backend. A fully cached batch starts no worker thread.
+    Misses run in the calling thread instead when ``concurrency_limit`` is
+    1, or when there is no cache and the backend declares ``blocks =
+    False`` (it does no I/O, so a pool has nothing to overlap); a backend
+    without the attribute counts as blocking.
     An unusable cache entry is logged as a warning and sent again. Failed
     tasks yield failed records instead of aborting the batch, and are
     never cached. Records come back in task order, exactly one per task.
@@ -384,7 +388,9 @@ def run_batch(
             cache.store(model, key, text, attempts, latency_ms)
         return (model, key), (text, latency_ms, STATUS_OK, attempts)
 
-    if misses:
+    if concurrency_limit == 1 or (cache is None and not getattr(backend, "blocks", True)):
+        outcomes.update(map(execute, misses))
+    elif misses:
         with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
             outcomes.update(pool.map(execute, misses))
     logger.info(
@@ -521,8 +527,12 @@ class MockBackend:
     Latent quality per article comes from the supplied map (an id-hash
     fallback covers unknown ids); style is fixed per model name; noise is
     drawn from substreams of (seed, model, article, strategy, iteration),
-    so batches are deterministic and iterations differ.
+    so batches are deterministic and iterations differ. Each fallback style
+    and latent is drawn once, on first use.
     """
+
+    #: no I/O: run_batch runs uncached batches in the calling thread
+    blocks = False
 
     def __init__(
         self,
@@ -531,23 +541,25 @@ class MockBackend:
         seed: int = 0,
         style_by_model: dict[str, str] | None = None,
     ):
-        self.latent = latent_by_article or {}
+        self.latent = dict(latent_by_article or {})
         self.noise_sd = noise_sd
         self.seed = seed
-        self.style_by_model = style_by_model or {}
+        self.style_by_model = dict(style_by_model or {})
 
     def _style_for(self, model: str) -> str:
-        if model in self.style_by_model:
-            return self.style_by_model[model]
-        # stable per-model pick among the parseable styles
-        pick = substream("mock-style", model).integers(3)
-        return MOCK_STYLES[int(pick)]
+        style = self.style_by_model.get(model)
+        if style is None:
+            # stable per-model pick among the parseable styles
+            style = MOCK_STYLES[int(substream("mock-style", model).integers(3))]
+            self.style_by_model[model] = style
+        return style
 
     def _latent_for(self, article_id: str) -> float:
-        if article_id in self.latent:
-            return self.latent[article_id]
-        draw = float(substream("mock-latent", article_id).random())
-        return SCORE_MIN + (SCORE_MAX - SCORE_MIN) * draw
+        latent = self.latent.get(article_id)
+        if latent is None:
+            draw = float(substream("mock-latent", article_id).random())
+            latent = self.latent[article_id] = SCORE_MIN + (SCORE_MAX - SCORE_MIN) * draw
+        return latent
 
     def complete_task(self, task: CompletionTask, cfg: ModelConfig) -> tuple[str, int, float]:
         report_seed = seed_int(

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import numpy as np
 
 from .corpus import SCORE_MAX, SCORE_MIN
 from .gateway import STATUS_OK
-from .util import substream
+# substream stays importable here: the benchmark's tracer wraps it by module
+from .util import substream, substreams  # noqa: F401
 
 _BOOTSTRAP_MAX_REDRAW = 100
 # resampled values ranked at once by bootstrap_ci, bounding its working memory
@@ -125,13 +127,19 @@ def _column_rhos(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
     return (rx * ry).sum(axis=0) / np.sqrt((rx * rx).sum(axis=0) * (ry * ry).sum(axis=0))
 
 
+def _constant_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Whether each resample row of ``xs`` or of ``ys`` is constant."""
+    return (xs == xs[:, :1]).all(axis=1) | (ys == ys[:, :1]).all(axis=1)
+
+
 def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap interval for the Spearman correlation.
 
     Pairs are resampled with replacement ``b_reps`` times; the interval is
     the [alpha/2, 1 - alpha/2] percentile span of the replicate
-    correlations. Replicate ``i`` draws from a substream keyed (seed, i),
-    so results do not depend on evaluation order. Resamples in which either
+    correlations. Replicate ``i`` draws from the substream keyed (seed, i),
+    so results do not depend on evaluation order; all of them are seeded in
+    one batch by :func:`~refscore.util.substreams`. Resamples in which either
     vector is constant are redrawn (bounded) and counted; if more than half
     of all draws are degenerate the input is rejected. The accepted
     resamples are ranked in blocks, one column per replicate.
@@ -156,28 +164,35 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
     block = max(1, min(b_reps, _RANK_BLOCK_ELEMENTS // n))
     draws = np.empty((block, n), dtype=np.intp)
     replicates = np.empty(b_reps)
+    streams = substreams((seed, i) for i in range(b_reps))
     degenerate = 0
     total_draws = 0
     for start in range(0, b_reps, block):
-        stop = min(start + block, b_reps)
-        for i in range(start, stop):
-            rng = substream(seed, i)
-            for _ in range(_BOOTSTRAP_MAX_REDRAW):
-                idx = rng.integers(0, n, size=n)
-                total_draws += 1
-                xs = x[idx]
-                ys = y[idx]
-                if np.all(xs == xs[0]) or np.all(ys == ys[0]):
-                    degenerate += 1
-                    continue
-                draws[i - start] = idx
-                break
-            else:
+        rngs = list(islice(streams, block))
+        idx = draws[: len(rngs)]
+        for row, rng in enumerate(rngs):
+            idx[row] = rng.integers(0, n, size=n)
+        # row j holds replicate start + j, the row-per-column layout
+        # midranks_2d sorts, so ranking xs.T makes no copy
+        xs = x[idx]
+        ys = y[idx]
+        # the block's first draws are checked at once; only the rows that
+        # fail draw again, each from its own replicate's stream
+        failed = np.flatnonzero(_constant_rows(xs, ys))
+        total_draws += len(rngs)
+        attempts = 1
+        while failed.size:
+            degenerate += failed.size
+            if attempts == _BOOTSTRAP_MAX_REDRAW:
                 raise ValueError("input too degenerate: resamples keep collapsing to constants")
-        # column j holds replicate start + j; x[rows] is already the
-        # row-per-column layout midranks_2d sorts, so no copy is made
-        rows = draws[: stop - start]
-        replicates[start:stop] = _column_rhos(midranks_2d(x[rows].T), midranks_2d(y[rows].T))
+            for row in failed:
+                idx[row] = rngs[row].integers(0, n, size=n)
+            xs[failed] = x[idx[failed]]
+            ys[failed] = y[idx[failed]]
+            total_draws += failed.size
+            attempts += 1
+            failed = failed[_constant_rows(xs[failed], ys[failed])]
+        replicates[start : start + len(rngs)] = _column_rhos(midranks_2d(xs.T), midranks_2d(ys.T))
     if degenerate > 0.5 * total_draws:
         raise ValueError("input too degenerate: more than half of bootstrap resamples were constant")
     lo, hi = np.quantile(replicates, [alpha / 2.0, 1.0 - alpha / 2.0])

@@ -351,6 +351,11 @@ class GaugeBackend(CountingBackend):
             return super().complete_task(task, cfg)
 
 
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("this batch must not start a pool")
+
+
 class TestRunBatch:
     CONFIGS = {"m0": ModelConfig(name="m0"), "m1": ModelConfig(name="m1")}
 
@@ -382,16 +387,43 @@ class TestRunBatch:
         assert second == first
 
     def test_warm_batch_starts_no_pool(self, tmp_path, monkeypatch):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a fully cached batch must not start a pool")
-
         cache = ResponseCache(tmp_path)
         tasks = [make_task(article_id=f"a{i}", iteration=j) for i in range(4) for j in (1, 2)]
         cold = run_batch(tasks + tasks[:3], self.CONFIGS, cache=cache, backend=CountingBackend())
         monkeypatch.setattr(gateway, "ThreadPoolExecutor", NoPool)
         warm = run_batch(tasks + tasks[:3], self.CONFIGS, cache=cache, backend=CountingBackend())
         assert warm == cold
+
+    def test_uncached_mock_batch_runs_in_the_calling_thread(self, monkeypatch):
+        class PooledMock(MockBackend):
+            blocks = True
+
+        tasks = [make_task(article_id=f"a{i}", model=m, iteration=j)
+                 for i in range(3) for m in ("m0", "m1") for j in (1, 2)]
+        pooled = run_batch(tasks, self.CONFIGS, backend=PooledMock(seed=3))
+        monkeypatch.setattr(gateway, "ThreadPoolExecutor", NoPool)
+        assert run_batch(tasks, self.CONFIGS, backend=MockBackend(seed=3)) == pooled
+
+    def test_cached_mock_batch_keeps_the_pool(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountedPool(gateway.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gateway, "ThreadPoolExecutor", CountedPool)
+        tasks = [make_task(article_id=f"a{i}") for i in range(4)]
+        run_batch(tasks, self.CONFIGS, cache=ResponseCache(tmp_path), backend=MockBackend())
+        assert len(pools) == 1
+
+    def test_limit_of_one_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(gateway, "ThreadPoolExecutor", NoPool)
+        backend = CountingBackend()
+        tasks = [make_task(article_id=f"a{i}") for i in range(5)]
+        records = run_batch(tasks, self.CONFIGS, concurrency_limit=1, backend=backend)
+        assert [r.article_id for r in records] == [t.article_id for t in tasks]
+        assert len(backend.calls) == 5
 
     def test_mixed_batch_sends_only_the_misses(self, tmp_path):
         backend = GaugeBackend()
@@ -610,6 +642,24 @@ class TestMockBackend:
         assert a == b
         value = analyze_report(a[0]).effective
         assert 1.0 <= value <= 4.0
+
+    def test_fallbacks_drawn_once_per_model_and_article(self, monkeypatch):
+        tasks = [make_task(article_id=a, model=m, iteration=j)
+                 for a in ("a1", "a2", "unknown") for m in ("m0", "m1") for j in (1, 2)]
+        latent = {"a1": 2.0, "a2": 3.5}
+        expected = [MockBackend(latent, seed=4).complete_task(t, self.CONFIGS[t.model]) for t in tasks]
+        draws = []
+        original = gateway.substream
+
+        def counted(*path):
+            if path[0] in ("mock-style", "mock-latent"):
+                draws.append(path)
+            return original(*path)
+
+        monkeypatch.setattr(gateway, "substream", counted)
+        backend = MockBackend(latent, seed=4)
+        assert [backend.complete_task(t, self.CONFIGS[t.model]) for t in tasks] == expected
+        assert sorted(draws) == [("mock-latent", "unknown"), ("mock-style", "m0"), ("mock-style", "m1")]
 
     def test_style_fixed_per_model(self):
         backend = MockBackend(noise_sd=0.3, seed=1)

@@ -30,9 +30,12 @@ def test_tracer_installs_and_restores():
         (harness, "load_gold_csv"),
         (stats, "midranks"),
         (stats, "bootstrap_ci"),
+        (stats, "substream"),
         (fusion, "midranks"),
         (fusion, "de_optimize"),
+        (fusion, "substream"),
         (gateway, "cache_key"),
+        (gateway.MockBackend, "complete_task"),
     ]
     originals = [getattr(owner, name) for owner, name in sites]
     tracer = tracing.Tracer("t")

@@ -345,10 +345,9 @@ def run_batch(
     hits are read in the calling thread before any request is sent; only
     the misses go to a worker pool, and ``concurrency_limit`` bounds those
     requests to the backend. A fully cached batch starts no worker thread.
-    Misses run in the calling thread instead when ``concurrency_limit`` is
-    1, or when there is no cache and the backend declares ``blocks =
-    False`` (it does no I/O, so a pool has nothing to overlap); a backend
-    without the attribute counts as blocking.
+    Misses run in the calling thread instead when there is no cache and the
+    backend declares ``blocks = False`` (it does no I/O, so a pool has
+    nothing to overlap); a backend without the attribute counts as blocking.
     An unusable cache entry is logged as a warning and sent again. Failed
     tasks yield failed records instead of aborting the batch, and are
     never cached. Records come back in task order, exactly one per task.
@@ -388,7 +387,7 @@ def run_batch(
             cache.store(model, key, text, attempts, latency_ms)
         return (model, key), (text, latency_ms, STATUS_OK, attempts)
 
-    if concurrency_limit == 1 or (cache is None and not getattr(backend, "blocks", True)):
+    if cache is None and not getattr(backend, "blocks", True):
         outcomes.update(map(execute, misses))
     elif misses:
         with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb
 
 import numpy as np
@@ -138,11 +137,11 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
     Pairs are resampled with replacement ``b_reps`` times; the interval is
     the [alpha/2, 1 - alpha/2] percentile span of the replicate
     correlations. Replicate ``i`` draws from the substream keyed (seed, i),
-    so results do not depend on evaluation order; all of them are seeded in
-    one batch by :func:`~refscore.util.substreams`. Resamples in which either
-    vector is constant are redrawn (bounded) and counted; if more than half
-    of all draws are degenerate the input is rejected. The accepted
-    resamples are ranked in blocks, one column per replicate.
+    so results do not depend on evaluation order; each block of replicates
+    is seeded at once by :func:`~refscore.util.substreams`. Resamples in
+    which either vector is constant are redrawn (bounded) and counted; if
+    more than half of all draws are degenerate the input is rejected. The
+    accepted resamples are ranked in blocks, one column per replicate.
 
     Returns
     -------
@@ -164,11 +163,10 @@ def bootstrap_ci(x, y, b_reps: int = 1000, alpha: float = 0.05, seed: int = 0) -
     block = max(1, min(b_reps, _RANK_BLOCK_ELEMENTS // n))
     draws = np.empty((block, n), dtype=np.intp)
     replicates = np.empty(b_reps)
-    streams = substreams((seed, i) for i in range(b_reps))
     degenerate = 0
     total_draws = 0
     for start in range(0, b_reps, block):
-        rngs = list(islice(streams, block))
+        rngs = list(substreams((seed, i) for i in range(start, min(start + block, b_reps))))
         idx = draws[: len(rngs)]
         for row, rng in enumerate(rngs):
             idx[row] = rng.integers(0, n, size=n)

@@ -417,14 +417,6 @@ class TestRunBatch:
         run_batch(tasks, self.CONFIGS, cache=ResponseCache(tmp_path), backend=MockBackend())
         assert len(pools) == 1
 
-    def test_limit_of_one_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(gateway, "ThreadPoolExecutor", NoPool)
-        backend = CountingBackend()
-        tasks = [make_task(article_id=f"a{i}") for i in range(5)]
-        records = run_batch(tasks, self.CONFIGS, concurrency_limit=1, backend=backend)
-        assert [r.article_id for r in records] == [t.article_id for t in tasks]
-        assert len(backend.calls) == 5
-
     def test_mixed_batch_sends_only_the_misses(self, tmp_path):
         backend = GaugeBackend()
         cache = ResponseCache(tmp_path)

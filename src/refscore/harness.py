@@ -65,7 +65,7 @@ from .prompts import (
 )
 from .stats import ScoreCell, ScoreMatrix, aggregate_across_units, correlate, mean_over_iterations
 from .synth import default_system_prompt
-from .util import atomic_write_text, json_objects, safe_name, seed_int, write_csv
+from .util import atomic_write_text, check_safe_names, json_objects, safe_name, seed_int, write_csv
 from .violin import emit_violin_svg, violin_summary
 from .wata import KWIC_SAMPLES, KWIC_TERMS, TokenizedDoc, compare, kwic, tokenize
 
@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
+        if self.sample_per_uoa is not None and self.sample_per_uoa < 1:
+            raise ValueError("sample_per_uoa must be at least 1")
         if not 0.0 < self.wata_q_threshold <= 1.0:
             raise ValueError("wata.q_threshold must lie in (0, 1]")
         if self.mock_noise_sd < 0:
@@ -129,6 +131,7 @@ class ExperimentConfig:
         names = [model.name for model in self.models]
         if len(set(names)) != len(names):
             raise ValueError("duplicate model names configured")
+        check_safe_names(names, "model")
         for model in self.mock_styles:
             if model not in names:
                 raise ValueError(f"mock.styles.{model}: no model of that name is configured")
@@ -396,6 +399,8 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
         eval_set = sample_per_uoa(eligible, cfg.sample_per_uoa, cfg.seed)
     if len(eval_set) == 0:
         raise ValueError(f"no eligible articles in {cfg.articles}")
+    # each article's prompts go to a directory named after its id
+    check_safe_names((article.id for article in eval_set), "article id")
     _write_jsonl(cfg.out_dir / ARTICLES, eval_set)
     counts = {
         "articles_loaded": len(loaded),
@@ -574,22 +579,17 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
     parsed = _read_parsed(cfg)
     matrix = build_matrix(cfg, parsed)
     _write_matrix(cfg, matrix)
-    uoa_of = _uoa_map(eval_set)
+    units = matrix.by_uoa(_uoa_map(eval_set))
     corr_rows = []
     skipped = 0
     per_unit: dict[tuple[str, str, str], list[float]] = {}
     for kind in sorted(golds):
         gold = golds[kind]
         for model, strategy in matrix.columns:
-            column = matrix.cells[(model, strategy)]
-            by_uoa: dict[int, list[str]] = {}
-            for art_id in column:
-                if art_id in gold.scores and art_id in uoa_of:
-                    by_uoa.setdefault(uoa_of[art_id], []).append(art_id)
-            for uoa in sorted(by_uoa):
-                ids = sorted(by_uoa[uoa])
-                x = [column[i].score for i in ids]
-                y = [gold.scores[i] for i in ids]
+            for uoa, unit in units.items():
+                ids, x, y = unit.paired_with_gold((model, strategy), gold.scores)
+                if not ids:
+                    continue
                 try:
                     result = correlate(
                         x, y,
@@ -637,21 +637,19 @@ def stage_fuse(cfg: ExperimentConfig) -> dict:
     golds = _load_golds(cfg)
     matrix = read_matrix(cfg)
     uoa_of = _uoa_map(eval_set)
+    units = matrix.by_uoa(uoa_of)
     counts: dict[str, int] = {}
     skipped = 0
     for kind in sorted(golds):
         gold = golds[kind]
         rows = []
         weights_dump: dict[str, list[dict]] = {}
-        for uoa in sorted({a.uoa for a in eval_set}):
-            ids = {i for i in matrix.article_ids() if uoa_of.get(i) == uoa}
-            sub = matrix.subset(ids)
-            gold_scores = {i: s for i, s in gold.scores.items() if i in ids}
+        for uoa, unit in units.items():
             try:
                 row, cv = fusion_row(
                     label=str(uoa),
-                    matrix=sub,
-                    gold_scores=gold_scores,
+                    matrix=unit,
+                    gold_scores=gold.scores,
                     folds=cfg.cv_folds,
                     seed=seed_int(cfg.seed, "fusion", kind, uoa),
                     params=cfg.de,

@@ -321,24 +321,24 @@ class ScoreMatrix:
     def columns(self) -> list[ColumnKey]:
         return sorted(self.cells)
 
-    def article_ids(self) -> list[str]:
-        ids: set[str] = set()
-        for column in self.cells.values():
-            ids.update(column)
-        return sorted(ids)
-
     def column_scores(self, key: ColumnKey) -> dict[str, float]:
         return {art_id: cell.score for art_id, cell in self.cells[key].items()}
 
     def cell_count(self) -> int:
         return sum(len(column) for column in self.cells.values())
 
-    def subset(self, ids) -> "ScoreMatrix":
-        wanted = set(ids)
-        out = ScoreMatrix(self.configured_k)
+    def by_uoa(self, uoa_of: dict[str, int]) -> dict[int, "ScoreMatrix"]:
+        """One sub-matrix per unit that ``uoa_of`` names, in unit order. Each
+        keeps every column, empty where the column scored none of the unit's
+        articles; articles that ``uoa_of`` does not name are left out."""
+        units = {uoa: ScoreMatrix(self.configured_k) for uoa in sorted(set(uoa_of.values()))}
         for key, column in self.cells.items():
-            out.cells[key] = {i: c for i, c in column.items() if i in wanted}
-        return out
+            for unit in units.values():
+                unit.cells[key] = {}
+            for art_id, cell in column.items():
+                if art_id in uoa_of:
+                    units[uoa_of[art_id]].cells[key][art_id] = cell
+        return units
 
     def complete_ids(self) -> list[str]:
         """Articles scored in every column."""

@@ -154,6 +154,20 @@ def safe_name(name: str) -> str:
     return _UNSAFE_IN_NAME.sub("_", name)
 
 
+def check_safe_names(names, what: str) -> None:
+    """Raise a ValueError unless each of ``names`` has a :func:`safe_name` of
+    its own that is a usable file name, not empty, ``.`` or ``..``. ``what``
+    names the kind of name in the message, such as ``"model"``."""
+    seen: dict[str, str] = {}
+    for name in names:
+        safe = safe_name(name)
+        if safe in ("", ".", ".."):
+            raise ValueError(f"{what} {name!r} cannot name a file")
+        if safe in seen:
+            raise ValueError(f"{what}s {seen[safe]!r} and {name!r} share the file name {safe!r}")
+        seen[safe] = name
+
+
 def json_objects(path: str | Path):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 

@@ -164,12 +164,20 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
             {"mock": {"enabled": True, "styles": {"mock-a": "plain", "mock-c": "plain"}}},
             "mock.styles.mock-c: no model of that name is configured",
         ),
+        (
+            {"models": [{"name": "org/m"}, {"name": "org:m"}]},
+            "models 'org/m' and 'org:m' share the file name 'org_m'",
+        ),
+        ({"models": [{"name": ".."}]}, "model '..' cannot name a file"),
+        ({"sample_per_uoa": -1}, "sample_per_uoa must be at least 1"),
+        ({"sample_per_uoa": 0}, "sample_per_uoa must be at least 1"),
     ],
     ids=[
         "list", "nested-null", "model-string", "fraction", "bool", "gold-path", "model-name",
         "list-item", "nested-object", "empty-path", "alpha-above-1", "alpha-zero",
         "bootstrap-reps", "cv-folds", "wata-q-threshold", "mock-noise-sd", "mock-style",
-        "duplicate-model", "mock-style-model",
+        "duplicate-model", "mock-style-model", "safe-name-collision", "dot-model",
+        "sample-per-uoa-negative", "sample-per-uoa-zero",
     ],
 )
 def test_wrong_or_missing_key_is_rejected_by_name(tmp_path, extra, message, capsys):

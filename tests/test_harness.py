@@ -275,6 +275,19 @@ class TestStageIsolation:
         with pytest.raises(ValueError, match="no eligible"):
             run_stages(cfg, ("ingest",))
 
+    def test_ids_sharing_a_prompt_directory_fail_ingest(self, tmp_path):
+        corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+        lines = corpus["articles"].read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, new_id in enumerate(["x/1", "x:1"]):
+            article = json.loads(lines[i])
+            article["id"] = new_id
+            lines[i] = json.dumps(article) + "\n"
+        corpus["articles"].write_text("".join(lines), encoding="utf-8")
+        cfg = load_config(write_config(tmp_path, corpus))
+        message = "article ids 'x/1' and 'x:1' share the file name 'x_1'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_stages(cfg, ("ingest",))
+
     @pytest.mark.parametrize(
         "corrupt",
         [lambda line: line[:40] + "\n", lambda line: line[:-2] + ', "error": "HTTP 500"}\n'],
@@ -389,6 +402,46 @@ class TestStageOutputs:
         cfg = load_config(write_config(tmp_path, corpus, out_dir="."))
         assert run_stages(cfg, ("ingest",))["failure"] is None
         assert (tmp_path / "gold_individual.csv").exists()
+
+
+class TestAnalyzeUnits:
+    def test_column_without_rows_in_a_unit_gets_no_row_and_no_skip(self, mini_run, tmp_path):
+        src = mini_run["cfg"].out_dir
+        cfg = load_config(mini_run["cfg_path"], {"out": str(tmp_path / "out")})
+        cfg.out_dir.mkdir()
+        kinds = [kind for kind, _ in cfg.golds]
+        for name in ("articles.jsonl", *(f"gold_{kind}.csv" for kind in kinds)):
+            shutil.copyfile(src / name, cfg.out_dir / name)
+        with open(src / "articles.jsonl", encoding="utf-8") as fh:
+            uoa_of = {a["id"]: a["uoa"] for a in map(json.loads, fh)}
+        # the column mock-a/zero keeps no parsed row in unit 1
+        lines = (src / "parsed.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        rows = [json.loads(line) for line in lines]
+        kept = [
+            line for line, row in zip(lines, rows)
+            if (row["model"], row["strategy"], uoa_of[row["article_id"]]) != ("mock-a", "zero", 1)
+        ]
+        assert 0 < len(kept) < len(lines)
+        (cfg.out_dir / "parsed.jsonl").write_text("".join(kept), encoding="utf-8")
+        manifest = run_stages(cfg, ("analyze",))
+
+        def correlations(out_dir):
+            with open(out_dir / "correlations.csv", newline="", encoding="utf-8") as fh:
+                return list(csv.DictReader(fh))
+
+        def analyze_counts(m):
+            return next(s["counts"] for s in m["stages"] if s["name"] == "analyze")
+
+        before = correlations(src)
+        dropped = [
+            row for row in before
+            if (row["model"], row["strategy"], row["uoa"]) == ("mock-a", "zero", "1")
+        ]
+        assert len(dropped) == len(kinds)
+        assert correlations(cfg.out_dir) == [row for row in before if row not in dropped]
+        counts, full = analyze_counts(manifest), analyze_counts(mini_run["manifest"])
+        assert counts["correlation_skipped"] == full["correlation_skipped"]
+        assert counts["correlation_rows"] == full["correlation_rows"] - len(kinds)
 
 
 class TestByteDeterminism:

@@ -28,6 +28,9 @@ def test_tracer_installs_and_restores():
         (harness, "run_batch"),
         (harness, "tokenize"),
         (harness, "load_gold_csv"),
+        (harness, "correlate"),
+        (harness, "fusion_row"),
+        (harness, "violin_summary"),
         (stats, "midranks"),
         (stats, "bootstrap_ci"),
         (stats, "substream"),

@@ -455,8 +455,22 @@ class TestScoreMatrix:
         m.add_column(("m1", "zero"), {"a": ScoreCell(2.0, 1), "b": ScoreCell(3.0, 1)})
         m.add_column(("m2", "zero"), {"b": ScoreCell(3.5, 1), "c": ScoreCell(1.0, 1)})
         assert m.complete_ids() == ["b"]
-        assert m.article_ids() == ["a", "b", "c"]
         assert m.cell_count() == 4
+
+    def test_by_uoa_splits_every_column_by_unit(self):
+        m = ScoreMatrix(configured_k=2)
+        m.add_column(("m1", "zero"), {"a": ScoreCell(2.0, 1), "b": ScoreCell(3.0, 2)})
+        m.add_column(("m2", "zero"), {"b": ScoreCell(3.5, 1), "z": ScoreCell(1.0, 1)})
+        units = m.by_uoa({"b": 2, "a": 1, "c": 3})
+        assert list(units) == [1, 2, 3]
+        assert all(u.columns == m.columns and u.configured_k == 2 for u in units.values())
+        # a column that scored none of a unit's articles is kept, empty
+        assert units[1].cells == {("m1", "zero"): {"a": ScoreCell(2.0, 1)}, ("m2", "zero"): {}}
+        assert units[2].cells == {
+            ("m1", "zero"): {"b": ScoreCell(3.0, 2)}, ("m2", "zero"): {"b": ScoreCell(3.5, 1)},
+        }
+        # a unit that nothing scored still appears; "z" has no unit and is left out
+        assert units[3].cells == {("m1", "zero"): {}, ("m2", "zero"): {}}
 
     def test_paired_with_gold_aligns_ids(self):
         m = ScoreMatrix()

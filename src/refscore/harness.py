@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import logging
 import shutil
 from collections import Counter
 from collections.abc import Callable
@@ -70,6 +71,8 @@ from .violin import emit_violin_svg, violin_summary
 from .wata import KWIC_SAMPLES, KWIC_TERMS, TokenizedDoc, compare, kwic, tokenize
 
 SCHEMA_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 class Gold(NamedTuple):
@@ -132,6 +135,15 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError("duplicate model names configured")
         check_safe_names(names, "model")
+        # stage_wata names each comparison of two models by _pair_name
+        pairs: dict[str, tuple[str, str]] = {}
+        for pair in combinations(sorted(names), 2):
+            name = _pair_name(*pair)
+            if name in pairs:
+                raise ValueError(
+                    f"model pairs {pairs[name]} and {pair} share the WATA comparison name {name!r}"
+                )
+            pairs[name] = pair
         for model in self.mock_styles:
             if model not in names:
                 raise ValueError(f"mock.styles.{model}: no model of that name is configured")
@@ -573,6 +585,24 @@ def read_matrix(cfg: ExperimentConfig) -> ScoreMatrix:
     return matrix
 
 
+def _run_jobs(jobs) -> tuple[list, list]:
+    """Run each ``(label, fn, *args)`` job of ``jobs`` in order.
+
+    Returns ``(done, skipped)``: ``(label, fn(*args))`` for each job that ran
+    and ``(label, reason)`` for each whose ``fn`` raised a ValueError, which
+    marks a cell too small or too degenerate to evaluate. Each skip is logged
+    at INFO; any other exception propagates and fails the stage.
+    """
+    done, skipped = [], []
+    for label, fn, *args in jobs:
+        try:
+            done.append((label, fn(*args)))
+        except ValueError as exc:
+            logger.info("job %r skipped: %s", label, exc)
+            skipped.append((label, str(exc)))
+    return done, skipped
+
+
 def stage_analyze(cfg: ExperimentConfig) -> dict:
     eval_set = load_articles(cfg.out_dir / ARTICLES)
     golds = _load_golds(cfg)
@@ -580,33 +610,23 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
     matrix = build_matrix(cfg, parsed)
     _write_matrix(cfg, matrix)
     units = matrix.by_uoa(_uoa_map(eval_set))
-    corr_rows = []
-    skipped = 0
+    done, skipped = _run_jobs(
+        (
+            (uoa, model, strategy, kind), correlate, x, y, cfg.bootstrap_reps, cfg.alpha,
+            seed_int(cfg.seed, "bootstrap", kind, uoa, model, strategy),
+        )
+        for kind in sorted(golds)
+        for model, strategy in matrix.columns
+        for uoa, unit in units.items()
+        for ids, x, y in [unit.paired_with_gold((model, strategy), golds[kind].scores)]
+        if ids
+    )
+    corr_rows = [
+        [*label, r.n, f"{r.rho:.6f}", f"{r.ci_low:.6f}", f"{r.ci_high:.6f}"] for label, r in done
+    ]
     per_unit: dict[tuple[str, str, str], list[float]] = {}
-    for kind in sorted(golds):
-        gold = golds[kind]
-        for model, strategy in matrix.columns:
-            for uoa, unit in units.items():
-                ids, x, y = unit.paired_with_gold((model, strategy), gold.scores)
-                if not ids:
-                    continue
-                try:
-                    result = correlate(
-                        x, y,
-                        b_reps=cfg.bootstrap_reps,
-                        alpha=cfg.alpha,
-                        seed=seed_int(cfg.seed, "bootstrap", kind, uoa, model, strategy),
-                    )
-                except ValueError:
-                    skipped += 1
-                    continue
-                corr_rows.append(
-                    [
-                        uoa, model, strategy, kind, result.n,
-                        f"{result.rho:.6f}", f"{result.ci_low:.6f}", f"{result.ci_high:.6f}",
-                    ]
-                )
-                per_unit.setdefault((model, strategy, kind), []).append(result.rho)
+    for (_, model, strategy, kind), r in done:
+        per_unit.setdefault((model, strategy, kind), []).append(r.rho)
     write_csv(
         cfg.out_dir / "correlations.csv",
         ["uoa", "model", "strategy", "gold_kind", "n", "rho", "ci_low", "ci_high"],
@@ -628,7 +648,7 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
     return {
         "matrix_cells": matrix.cell_count(),
         "correlation_rows": len(corr_rows),
-        "correlation_skipped": skipped,
+        "correlation_skipped": len(skipped),
     }
 
 
@@ -642,25 +662,18 @@ def stage_fuse(cfg: ExperimentConfig) -> dict:
     skipped = 0
     for kind in sorted(golds):
         gold = golds[kind]
-        rows = []
-        weights_dump: dict[str, list[dict]] = {}
-        for uoa, unit in units.items():
-            try:
-                row, cv = fusion_row(
-                    label=str(uoa),
-                    matrix=unit,
-                    gold_scores=gold.scores,
-                    folds=cfg.cv_folds,
-                    seed=seed_int(cfg.seed, "fusion", kind, uoa),
-                    params=cfg.de,
-                )
-            except ValueError:
-                # unit too small (or too degenerate) to cross-validate;
-                # the pooled All row can still cover its articles
-                skipped += 1
-                continue
-            rows.append(row)
-            weights_dump[str(uoa)] = _weights_json(cv)
+        # a unit too small (or too degenerate) to cross-validate is skipped;
+        # the pooled All row can still cover its articles
+        done, unit_skips = _run_jobs(
+            (
+                (kind, str(uoa)), fusion_row, str(uoa), unit, gold.scores, cfg.cv_folds,
+                seed_int(cfg.seed, "fusion", kind, uoa), cfg.de,
+            )
+            for uoa, unit in units.items()
+        )
+        skipped += len(unit_skips)
+        rows = [row for _, (row, _) in done]
+        weights_dump = {uoa: _weights_json(cv) for (_, uoa), (_, cv) in done}
         pooled, pooled_gold = rank_normalized_pool(matrix, gold.scores, uoa_of)
         all_row, all_cv = fusion_row(
             label="All",
@@ -721,6 +734,12 @@ def _write_fusion_outputs(cfg, kind, rows, weights_dump) -> None:
     )
 
 
+def _pair_name(a: str, b: str) -> str:
+    """The file name that stage_wata gives the comparison of models ``a`` and
+    ``b``, before its ``__<strategy>`` suffix."""
+    return f"{safe_name(a)}_vs_{safe_name(b)}"
+
+
 def stage_wata(cfg: ExperimentConfig) -> dict:
     # one pass: each ok record is tokenized once, however many comparisons
     # its (model, strategy) group joins, and kept with its text for KWIC
@@ -739,7 +758,7 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
     for strategy in cfg.strategies:
         present = [m for m in models if (m, strategy) in grouped]
         comparisons += [
-            (f"{safe_name(a)}_vs_{safe_name(b)}__{strategy}", (a, strategy), (b, strategy))
+            (f"{_pair_name(a, b)}__{strategy}", (a, strategy), (b, strategy))
             for a, b in combinations(present, 2)
         ]
     wata_dir = cfg.out_dir / "wata"
@@ -785,26 +804,18 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
 def stage_violin(cfg: ExperimentConfig) -> dict:
     golds = _load_golds(cfg)
     matrix = read_matrix(cfg)
-    violin_dir = cfg.out_dir / "violins"
-    written = skipped = 0
-    for kind in sorted(golds):
-        gold = golds[kind]
-        for model, strategy in matrix.columns:
-            scores = matrix.column_scores((model, strategy))
-            try:
-                summary = violin_summary(scores, gold.scores)
-            except ValueError:
-                skipped += 1
-                continue
-            svg = emit_violin_svg(
-                summary,
-                title=f"{model} / {strategy} vs {kind} gold",
-            )
-            atomic_write_text(
-                violin_dir / f"{kind}__{safe_name(model)}__{strategy}.svg", svg
-            )
-            written += 1
-    return {"violins_written": written, "violins_skipped": skipped}
+    done, skipped = _run_jobs(
+        ((kind, model, strategy), violin_summary, matrix.column_scores((model, strategy)),
+         golds[kind].scores)
+        for kind in sorted(golds)
+        for model, strategy in matrix.columns
+    )
+    for (kind, model, strategy), summary in done:
+        svg = emit_violin_svg(summary, title=f"{model} / {strategy} vs {kind} gold")
+        atomic_write_text(
+            cfg.out_dir / "violins" / f"{kind}__{safe_name(model)}__{strategy}.svg", svg
+        )
+    return {"violins_written": len(done), "violins_skipped": len(skipped)}
 
 
 class Stage(NamedTuple):

@@ -73,10 +73,6 @@ class MessageSequence:
     def __len__(self) -> int:
         return len(self.messages)
 
-    @property
-    def user_text(self) -> str:
-        return next(m.content for m in self.messages if m.role == "user")
-
 
 @dataclass(frozen=True)
 class FewShotSelection:

@@ -169,6 +169,16 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
             "models 'org/m' and 'org:m' share the file name 'org_m'",
         ),
         ({"models": [{"name": ".."}]}, "model '..' cannot name a file"),
+        (
+            {"models": [{"name": n} for n in ("p", "p_vs_q", "q_vs_r", "r")]},
+            "model pairs ('p', 'q_vs_r') and ('p_vs_q', 'r') share the WATA comparison name "
+            "'p_vs_q_vs_r'",
+        ),
+        (
+            {"models": [{"name": n} for n in ("p_", "p__vs", "q", "vs_q")]},
+            "model pairs ('p_', 'vs_q') and ('p__vs', 'q') share the WATA comparison name "
+            "'p__vs_vs_q'",
+        ),
         ({"sample_per_uoa": -1}, "sample_per_uoa must be at least 1"),
         ({"sample_per_uoa": 0}, "sample_per_uoa must be at least 1"),
     ],
@@ -177,6 +187,7 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         "list-item", "nested-object", "empty-path", "alpha-above-1", "alpha-zero",
         "bootstrap-reps", "cv-folds", "wata-q-threshold", "mock-noise-sd", "mock-style",
         "duplicate-model", "mock-style-model", "safe-name-collision", "dot-model",
+        "wata-pair-collision", "wata-pair-collision-without-vs",
         "sample-per-uoa-negative", "sample-per-uoa-zero",
     ],
 )

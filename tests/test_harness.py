@@ -1,6 +1,8 @@
 """Tests for the staged pipeline, config loading and the command line."""
 import csv
+import dataclasses
 import json
+import logging
 import re
 import shutil
 from pathlib import Path
@@ -18,7 +20,7 @@ from refscore.harness import (
     read_matrix,
     run_stages,
 )
-from refscore import gateway
+from refscore import gateway, harness
 from refscore.gateway import ModelConfig
 from refscore.synth import make_synthetic_corpus
 
@@ -324,6 +326,28 @@ def writer_of(name: str) -> str:
     return next(stage for stage, entry in PIPELINE.items() if name in entry.writes)
 
 
+def copy_inputs(mini_run, out_dir: Path, stage: str):
+    """The mini run's config, writing to the new directory ``out_dir``, which
+    holds a copy of each file ``stage`` reads from the mini run's output."""
+    cfg = load_config(mini_run["cfg_path"], {"out": str(out_dir)})
+    cfg.out_dir.mkdir()
+    for read in PIPELINE[stage].reads:
+        for name in {read.format(kind=kind) for kind, _ in cfg.golds}:
+            shutil.copyfile(mini_run["cfg"].out_dir / name, cfg.out_dir / name)
+    return cfg
+
+
+def stage_counts(manifest: dict, stage: str) -> dict:
+    return next(s["counts"] for s in manifest["stages"] if s["name"] == stage)
+
+
+def skip_lines(caplog) -> list[str]:
+    return [
+        r.getMessage() for r in caplog.records
+        if r.name == "refscore.harness" and r.levelno == logging.INFO
+    ]
+
+
 class TestStageInputs:
     def test_each_input_is_written_by_an_earlier_stage(self):
         assert STAGES == (
@@ -339,13 +363,8 @@ class TestStageInputs:
     def test_missing_input_fails_the_stage_before_it_writes(
         self, mini_run, tmp_path, stage, name
     ):
-        src = mini_run["cfg"]
-        cfg = load_config(mini_run["cfg_path"], {"out": str(tmp_path / "out")})
-        cfg.out_dir.mkdir()
+        cfg = copy_inputs(mini_run, tmp_path / "out", stage)
         kinds = [kind for kind, _ in cfg.golds]
-        for read in PIPELINE[stage].reads:
-            for file_name in {read.format(kind=kind) for kind in kinds}:
-                shutil.copyfile(src.out_dir / file_name, cfg.out_dir / file_name)
         # the last gold kind, so that every configured kind is checked
         missing = cfg.out_dir / name.format(kind=kinds[-1])
         missing.unlink()
@@ -407,11 +426,8 @@ class TestStageOutputs:
 class TestAnalyzeUnits:
     def test_column_without_rows_in_a_unit_gets_no_row_and_no_skip(self, mini_run, tmp_path):
         src = mini_run["cfg"].out_dir
-        cfg = load_config(mini_run["cfg_path"], {"out": str(tmp_path / "out")})
-        cfg.out_dir.mkdir()
+        cfg = copy_inputs(mini_run, tmp_path / "out", "analyze")
         kinds = [kind for kind, _ in cfg.golds]
-        for name in ("articles.jsonl", *(f"gold_{kind}.csv" for kind in kinds)):
-            shutil.copyfile(src / name, cfg.out_dir / name)
         with open(src / "articles.jsonl", encoding="utf-8") as fh:
             uoa_of = {a["id"]: a["uoa"] for a in map(json.loads, fh)}
         # the column mock-a/zero keeps no parsed row in unit 1
@@ -429,9 +445,6 @@ class TestAnalyzeUnits:
             with open(out_dir / "correlations.csv", newline="", encoding="utf-8") as fh:
                 return list(csv.DictReader(fh))
 
-        def analyze_counts(m):
-            return next(s["counts"] for s in m["stages"] if s["name"] == "analyze")
-
         before = correlations(src)
         dropped = [
             row for row in before
@@ -439,9 +452,89 @@ class TestAnalyzeUnits:
         ]
         assert len(dropped) == len(kinds)
         assert correlations(cfg.out_dir) == [row for row in before if row not in dropped]
-        counts, full = analyze_counts(manifest), analyze_counts(mini_run["manifest"])
+        counts = stage_counts(manifest, "analyze")
+        full = stage_counts(mini_run["manifest"], "analyze")
         assert counts["correlation_skipped"] == full["correlation_skipped"]
         assert counts["correlation_rows"] == full["correlation_rows"] - len(kinds)
+
+
+class TestSkippedCells:
+    """A cell whose evaluation raises a ValueError is skipped, counted and
+    logged; any other error fails the stage."""
+
+    def test_cell_of_two_articles_is_skipped_and_logged(self, mini_run, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="refscore.harness")
+        cfg = copy_inputs(mini_run, tmp_path / "out", "analyze")
+        kinds = [kind for kind, _ in cfg.golds]
+        articles = (cfg.out_dir / "articles.jsonl").read_text(encoding="utf-8").splitlines()
+        cell = sorted(a["id"] for a in map(json.loads, articles) if a["uoa"] == 1)
+        # the column mock-a/zero keeps only two articles of unit 1
+        path = cfg.out_dir / "parsed.jsonl"
+        kept = [
+            line for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
+            if (row := json.loads(line))["article_id"] not in cell[2:]
+            or (row["model"], row["strategy"]) != ("mock-a", "zero")
+        ]
+        path.write_text("".join(kept), encoding="utf-8")
+        manifest = run_stages(cfg, ("analyze",))
+        full = stage_counts(mini_run["manifest"], "analyze")
+        counts = stage_counts(manifest, "analyze")
+        assert counts["correlation_skipped"] == full["correlation_skipped"] + len(kinds)
+        assert counts["correlation_rows"] == full["correlation_rows"] - len(kinds)
+        assert skip_lines(caplog) == [
+            f"job (1, 'mock-a', 'zero', '{kind}') skipped: spearman needs at least 3 pairs"
+            for kind in sorted(kinds)
+        ]
+
+    def test_gold_without_whole_stars_skips_its_violins(self, mini_run, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="refscore.harness")
+        cfg = copy_inputs(mini_run, tmp_path / "out", "violin")
+        path = cfg.out_dir / "gold_individual.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(
+            "\n".join([header] + [f"{row.split(',')[0]},2.5" for row in rows]) + "\n",
+            encoding="utf-8",
+        )
+        counts = stage_counts(run_stages(cfg, ("violin",)), "violin")
+        columns = read_matrix(cfg).columns
+        assert counts == {"violins_written": len(columns), "violins_skipped": len(columns)}
+        assert skip_lines(caplog) == [
+            f"job ('individual', '{model}', '{strategy}') skipped: "
+            "no articles with integer gold scores"
+            for model, strategy in columns
+        ]
+        assert not list((cfg.out_dir / "violins").glob("individual__*"))
+
+    def test_failing_all_fit_fails_fuse(self, mini_run, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="refscore.harness")
+        cfg = copy_inputs(mini_run, tmp_path / "out", "fuse")
+        n_articles = len((cfg.out_dir / "articles.jsonl").read_text().splitlines())
+        # too many folds for the pooled articles, and so for each unit's
+        folds = n_articles // 3 + 1
+        cfg = dataclasses.replace(cfg, cv_folds=folds)
+        message = f"cross-validation needs at least {3 * folds} complete-case articles, got "
+        message += str(n_articles)
+        with pytest.raises(ValueError, match=message):
+            run_stages(cfg, ("fuse",))
+        manifest = json.loads((cfg.out_dir / "manifest.json").read_text())
+        assert manifest["failure"] == {"stage": "fuse", "error": message}
+        assert manifest["stages"] == []
+        # the units of the first gold kind were skipped before its All fit failed
+        kind = min(kind for kind, _ in cfg.golds)
+        assert [line.split(" skipped: ")[0] for line in skip_lines(caplog)] == [
+            f"job ({kind!r}, {uoa!r})" for uoa in ("1", "2")
+        ]
+
+    def test_only_a_value_error_is_a_skip(self, mini_run, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken correlate")
+
+        monkeypatch.setattr(harness, "correlate", broken)
+        cfg = copy_inputs(mini_run, tmp_path / "out", "analyze")
+        with pytest.raises(TypeError, match="broken correlate"):
+            run_stages(cfg, ("analyze",))
+        manifest = json.loads((cfg.out_dir / "manifest.json").read_text())
+        assert manifest["failure"] == {"stage": "analyze", "error": "broken correlate"}
 
 
 class TestByteDeterminism:

@@ -191,12 +191,12 @@ class TestComposeMessages:
         seq = compose_messages(system, "user text", supports_system_role=True)
         assert [m.role for m in seq] == ["system", "user"]
         assert seq.messages[0].content == system.text
-        assert seq.user_text == "user text"
+        assert seq.messages[-1].content == "user text"
 
     def test_system_role_folded_into_user(self, system):
         seq = compose_messages(system, "user text", supports_system_role=False)
         assert [m.role for m in seq] == ["user"]
-        assert seq.user_text == f"{system.text}\nuser text"
+        assert seq.messages[-1].content == f"{system.text}\nuser text"
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError, match="exactly one user"):

@@ -147,6 +147,10 @@ class ExperimentConfig:
         for model in self.mock_styles:
             if model not in names:
                 raise ValueError(f"mock.styles.{model}: no model of that name is configured")
+        if not self.strategies:
+            raise ValueError("at least one strategy must be configured")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError("duplicate strategies configured")
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
                 raise ValueError(f"unknown strategy {strategy!r}")
@@ -358,12 +362,6 @@ def _read_jsonl(path: Path, cls) -> list:
     return rows
 
 
-def _load_golds(cfg: ExperimentConfig) -> dict[str, GoldStandard]:
-    return {
-        kind: load_gold_csv(cfg.out_dir / GOLDS.format(kind=kind), kind) for kind, _ in cfg.golds
-    }
-
-
 def _load_pool(cfg: ExperimentConfig, eval_set: ArticleSet) -> FewShotPool | None:
     if FEW not in cfg.strategies:
         return None
@@ -430,8 +428,7 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
     return counts
 
 
-def stage_prompt(cfg: ExperimentConfig) -> dict:
-    eval_set = load_articles(cfg.out_dir / ARTICLES)
+def stage_prompt(cfg: ExperimentConfig, eval_set: ArticleSet) -> dict:
     pool = _load_pool(cfg, eval_set)
     written = 0
     for article, strategy, iteration, text in _user_prompts(cfg, eval_set, pool):
@@ -457,25 +454,25 @@ def _build_tasks(cfg: ExperimentConfig, eval_set: ArticleSet, pool) -> list[Comp
     ]
 
 
-def _mock_latent(cfg: ExperimentConfig) -> dict[str, float]:
-    golds = _load_golds(cfg)
+def _mock_latent(golds: dict[str, GoldStandard]) -> dict[str, float]:
     for kind in (INDIVIDUAL, PROXY):
         if kind in golds:
             return dict(golds[kind].scores)
     return {}
 
 
-def stage_score(cfg: ExperimentConfig) -> dict:
+def stage_score(
+    cfg: ExperimentConfig, eval_set: ArticleSet, golds: dict[str, GoldStandard]
+) -> dict:
     if not cfg.mock:
         require_api_keys(cfg.models)
         require_base_urls(cfg.models)
-    eval_set = load_articles(cfg.out_dir / ARTICLES)
     pool = _load_pool(cfg, eval_set)
     tasks = _build_tasks(cfg, eval_set, pool)
     cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
     if cfg.mock:
         backend = MockBackend(
-            latent_by_article=_mock_latent(cfg),
+            latent_by_article=_mock_latent(golds),
             noise_sd=cfg.mock_noise_sd,
             seed=cfg.seed,
             style_by_model=cfg.mock_styles,
@@ -514,9 +511,9 @@ class ParsedRow:
         object.__setattr__(self, "flags", tuple(self.flags))
 
 
-def stage_extract(cfg: ExperimentConfig) -> dict:
+def stage_extract(cfg: ExperimentConfig, records: list[RawRecord]) -> dict:
     rows = []
-    for rec in _read_jsonl(cfg.out_dir / RECORDS, RawRecord):
+    for rec in records:
         if rec.status != STATUS_OK:
             rows.append(ParsedRow(*rec.key, rec.status))
             continue
@@ -543,10 +540,6 @@ def stage_extract(cfg: ExperimentConfig) -> dict:
         "multi_article": flagged[FLAG_MULTI],
         "no_score": flagged[FLAG_NO_SCORE],
     }
-
-
-def _read_parsed(cfg: ExperimentConfig) -> list[ParsedRow]:
-    return _read_jsonl(cfg.out_dir / PARSED, ParsedRow)
 
 
 def build_matrix(cfg: ExperimentConfig, parsed: list[ParsedRow]) -> ScoreMatrix:
@@ -603,10 +596,10 @@ def _run_jobs(jobs) -> tuple[list, list]:
     return done, skipped
 
 
-def stage_analyze(cfg: ExperimentConfig) -> dict:
-    eval_set = load_articles(cfg.out_dir / ARTICLES)
-    golds = _load_golds(cfg)
-    parsed = _read_parsed(cfg)
+def stage_analyze(
+    cfg: ExperimentConfig, eval_set: ArticleSet, golds: dict[str, GoldStandard],
+    parsed: list[ParsedRow],
+) -> dict:
     matrix = build_matrix(cfg, parsed)
     _write_matrix(cfg, matrix)
     units = matrix.by_uoa(_uoa_map(eval_set))
@@ -652,10 +645,10 @@ def stage_analyze(cfg: ExperimentConfig) -> dict:
     }
 
 
-def stage_fuse(cfg: ExperimentConfig) -> dict:
-    eval_set = load_articles(cfg.out_dir / ARTICLES)
-    golds = _load_golds(cfg)
-    matrix = read_matrix(cfg)
+def stage_fuse(
+    cfg: ExperimentConfig, eval_set: ArticleSet, golds: dict[str, GoldStandard],
+    matrix: ScoreMatrix,
+) -> dict:
     uoa_of = _uoa_map(eval_set)
     units = matrix.by_uoa(uoa_of)
     counts: dict[str, int] = {}
@@ -740,11 +733,11 @@ def _pair_name(a: str, b: str) -> str:
     return f"{safe_name(a)}_vs_{safe_name(b)}"
 
 
-def stage_wata(cfg: ExperimentConfig) -> dict:
+def stage_wata(cfg: ExperimentConfig, records: list[RawRecord]) -> dict:
     # one pass: each ok record is tokenized once, however many comparisons
     # its (model, strategy) group joins, and kept with its text for KWIC
     grouped: dict[tuple[str, str], list[tuple[TokenizedDoc, str]]] = {}
-    for rec in _read_jsonl(cfg.out_dir / RECORDS, RawRecord):
+    for rec in records:
         if rec.status == STATUS_OK:
             doc = tokenize(
                 f"{rec.article_id}/{rec.model}/{rec.strategy}/i{rec.iteration}", rec.text
@@ -801,9 +794,9 @@ def stage_wata(cfg: ExperimentConfig) -> dict:
     return {"comparisons": len(comparisons), "significant_terms": n_significant}
 
 
-def stage_violin(cfg: ExperimentConfig) -> dict:
-    golds = _load_golds(cfg)
-    matrix = read_matrix(cfg)
+def stage_violin(
+    cfg: ExperimentConfig, golds: dict[str, GoldStandard], matrix: ScoreMatrix
+) -> dict:
     done, skipped = _run_jobs(
         ((kind, model, strategy), violin_summary, matrix.column_scores((model, strategy)),
          golds[kind].scores)
@@ -820,10 +813,11 @@ def stage_violin(cfg: ExperimentConfig) -> dict:
 
 class Stage(NamedTuple):
     """One pipeline stage: its function, its command-line help, the ``out_dir``
-    files it reads, in the order it reads them, and the files and directories
-    (with a trailing "/") it writes. "{kind}" stands for each gold kind."""
+    files it reads, which ``run_stages`` passes to ``run`` after the config in
+    this order, and the files and directories (with a trailing "/") it writes.
+    "{kind}" stands for each gold kind."""
 
-    run: Callable[[ExperimentConfig], dict]
+    run: Callable[..., dict]
     help: str
     reads: tuple[str, ...]
     writes: tuple[str, ...]
@@ -863,13 +857,21 @@ PIPELINE = {
 STAGES = tuple(PIPELINE)
 
 
-def _check_inputs(cfg: ExperimentConfig, reads: tuple[str, ...]) -> None:
-    for name in reads:
-        for kind in [kind for kind, _ in cfg.golds] if name == GOLDS else [""]:
-            path = cfg.out_dir / name.format(kind=kind)
-            if not path.exists():
-                writer = next(s for s, stage in PIPELINE.items() if name in stage.writes)
-                raise FileNotFoundError(f"{path} is missing; run the {writer!r} stage first")
+def _read_input(cfg: ExperimentConfig, name: str):
+    """Stage input ``name`` as loaded from ``out_dir``, GOLDS as {kind: GoldStandard};
+    a missing file fails, naming the stage that writes it, before any is read."""
+    kinds = [kind for kind, _ in cfg.golds] if name == GOLDS else [""]
+    for path in (cfg.out_dir / name.format(kind=kind) for kind in kinds):
+        if not path.exists():
+            writer = next(s for s, stage in PIPELINE.items() if name in stage.writes)
+            raise FileNotFoundError(f"{path} is missing; run the {writer!r} stage first")
+    if name == GOLDS:
+        return {kind: load_gold_csv(cfg.out_dir / name.format(kind=kind), kind) for kind in kinds}
+    if name == ARTICLES:
+        return load_articles(cfg.out_dir / name)
+    if name == MATRIX:
+        return read_matrix(cfg)
+    return _read_jsonl(cfg.out_dir / name, {RECORDS: RawRecord, PARSED: ParsedRow}[name])
 
 
 def _clear_outputs(cfg: ExperimentConfig, writes: tuple[str, ...]) -> None:
@@ -885,10 +887,10 @@ def _clear_outputs(cfg: ExperimentConfig, writes: tuple[str, ...]) -> None:
 def run_stages(cfg: ExperimentConfig, stages) -> dict:
     """Run the named stages in pipeline order, updating the manifest.
 
-    A stage whose input file is missing fails before it runs, naming the
-    stage that writes the file. A rerun keeps a stage's earlier files until
-    it replaces them on success. On failure the manifest records the
-    failing stage and the error, and the exception propagates.
+    A stage's inputs are read before its earlier outputs are cleared, so a
+    missing or malformed input fails and keeps them. A rerun keeps a stage's
+    earlier files until it replaces them on success. On failure the manifest
+    records the failing stage and the error, and the exception propagates.
     """
     order = [s for s in STAGES if s in set(stages)]
     unknown = set(stages) - set(STAGES)
@@ -899,9 +901,9 @@ def run_stages(cfg: ExperimentConfig, stages) -> dict:
     for name in order:
         stage = PIPELINE[name]
         try:
-            _check_inputs(cfg, stage.reads)
+            inputs = [_read_input(cfg, read) for read in stage.reads]
             _clear_outputs(cfg, stage.writes)
-            counts = stage.run(cfg)
+            counts = stage.run(cfg, *inputs)
         except Exception as exc:
             manifest["failure"] = {"stage": name, "error": str(exc)}
             _write_manifest(cfg, manifest)

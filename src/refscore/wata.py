@@ -18,9 +18,9 @@ import numpy as np
 
 from .util import substream
 
-#: the characters a term is made of, after lowercasing; kwic's lookarounds
-#: use the same set, so that it matches a term exactly where tokenize finds it
-_TERM_CHARS = "a-z0-9"
+#: a term's characters after case folding, Unicode letters and digits; kwic's
+#: lookarounds use the same set, so it matches a term exactly where tokenize does
+_TERM_CHARS = r"^\W_"
 _TOKEN = re.compile(f"[{_TERM_CHARS}]+")
 MIN_TERM_LENGTH = 2
 MIN_DOC_FREQ = 5
@@ -45,13 +45,13 @@ class TokenizedDoc:
 
 
 def tokenize(doc_id: str, text: str) -> TokenizedDoc:
-    """Lowercase, split on non-alphanumeric runs, keep terms of length >= 2.
+    """Case-fold, split on non-letter, non-digit runs, keep terms of length >= 2.
 
     Only presence matters; within-document repetition is discarded. Terms
     are interned, so the many documents that share a term share one string.
     """
     terms = frozenset(
-        map(sys.intern, {t for t in _TOKEN.findall(text.lower()) if len(t) >= MIN_TERM_LENGTH})
+        map(sys.intern, {t for t in _TOKEN.findall(text.casefold()) if len(t) >= MIN_TERM_LENGTH})
     )
     return TokenizedDoc(doc_id=doc_id, terms=terms)
 
@@ -186,11 +186,11 @@ def kwic(term: str, documents, k: int, window: int = KWIC_WINDOW, seed: int = 0)
     if window < 1:
         raise ValueError("window must be positive")
     pattern = re.compile(
-        f"(?<![{_TERM_CHARS}]){re.escape(term.lower())}(?![{_TERM_CHARS}])"
+        f"(?<![{_TERM_CHARS}]){re.escape(term.casefold())}(?![{_TERM_CHARS}])"
     )
     occurrences: list[tuple[str, str, int, int]] = []
     for doc_id, text in documents:
-        for match in pattern.finditer(text.lower()):
+        for match in pattern.finditer(text.casefold()):
             occurrences.append((doc_id, text, match.start(), match.end()))
     if len(occurrences) > k:
         rng = substream(seed, "kwic", term)
@@ -198,11 +198,11 @@ def kwic(term: str, documents, k: int, window: int = KWIC_WINDOW, seed: int = 0)
         occurrences = [occurrences[i] for i in picks]
     lines = []
     for doc_id, text, start, end in occurrences:
-        if len(text.lower()) != len(text):
-            # unequal lengths mean some character lengthened ("İ"), as
-            # lowercasing never shortens one: map the span back onto text
-            # through the lowered offset at which each character starts
-            starts = list(accumulate((len(c.lower()) for c in text), initial=0))
+        if len(text.casefold()) != len(text):
+            # unequal lengths mean some character lengthened ("ß", "İ"), as
+            # case folding never shortens one: map the span back onto text
+            # through the folded offset at which each character starts
+            starts = list(accumulate((len(c.casefold()) for c in text), initial=0))
             start, end = bisect_right(starts, start) - 1, bisect_left(starts, end)
         lines.append(
             KwicLine(

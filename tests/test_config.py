@@ -181,6 +181,8 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         ),
         ({"sample_per_uoa": -1}, "sample_per_uoa must be at least 1"),
         ({"sample_per_uoa": 0}, "sample_per_uoa must be at least 1"),
+        ({"strategies": []}, "at least one strategy must be configured"),
+        ({"strategies": ["zero", "zero"]}, "duplicate strategies configured"),
     ],
     ids=[
         "list", "nested-null", "model-string", "fraction", "bool", "gold-path", "model-name",
@@ -188,7 +190,7 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         "bootstrap-reps", "cv-folds", "wata-q-threshold", "mock-noise-sd", "mock-style",
         "duplicate-model", "mock-style-model", "safe-name-collision", "dot-model",
         "wata-pair-collision", "wata-pair-collision-without-vs",
-        "sample-per-uoa-negative", "sample-per-uoa-zero",
+        "sample-per-uoa-negative", "sample-per-uoa-zero", "no-strategy", "duplicate-strategy",
     ],
 )
 def test_wrong_or_missing_key_is_rejected_by_name(tmp_path, extra, message, capsys):

@@ -1,6 +1,7 @@
 """Tests for the staged pipeline, config loading and the command line."""
 import csv
 import dataclasses
+import inspect
 import json
 import logging
 import re
@@ -238,9 +239,8 @@ class TestPipelineArtifacts:
         assert len(set(keys)) == len(keys)
 
     def test_matrix_round_trip(self, mini_run):
-        from refscore.harness import _read_parsed
         cfg = mini_run["cfg"]
-        parsed = _read_parsed(cfg)
+        parsed = harness._read_input(cfg, harness.PARSED)
         rebuilt = build_matrix(cfg, parsed)
         loaded = read_matrix(cfg)
         assert loaded.columns == rebuilt.columns
@@ -376,6 +376,36 @@ class TestStageInputs:
         assert manifest["failure"]["stage"] == stage
         after = sorted(p.relative_to(cfg.out_dir) for p in cfg.out_dir.rglob("*"))
         assert after == sorted(Path(n) for n in before + ["manifest.json"])
+
+    def test_each_stage_takes_the_config_then_its_reads(self):
+        for stage, entry in PIPELINE.items():
+            params = list(inspect.signature(entry.run).parameters)
+            assert params[0] == "cfg" and len(params) == 1 + len(entry.reads), stage
+
+    @pytest.mark.parametrize(
+        "stage, name", [("prompt", "articles.jsonl"), ("wata", "records.jsonl")]
+    )
+    def test_malformed_input_keeps_the_earlier_outputs(self, mini_run, tmp_path, stage, name):
+        cfg = copy_inputs(mini_run, tmp_path / "out", stage)
+        run_stages(cfg, (stage,))
+        (written,) = (cfg.out_dir / w for w in PIPELINE[stage].writes)
+
+        def snapshot():
+            files = (p for p in written.rglob("*") if p.is_file())
+            return {p.relative_to(written): p.read_bytes() for p in files}
+
+        earlier = snapshot()
+        path = cfg.out_dir / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2][:40] + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        message = f"{path}: line 3: "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_stages(cfg, (stage,))
+        assert earlier and snapshot() == earlier
+        manifest = json.loads((cfg.out_dir / "manifest.json").read_text())
+        assert manifest["failure"]["stage"] == stage
+        assert manifest["failure"]["error"].startswith(message)
 
 
 class TestStageOutputs:

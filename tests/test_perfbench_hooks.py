@@ -27,6 +27,7 @@ def test_tracer_installs_and_restores():
     sites = [
         (harness, "run_batch"),
         (harness, "tokenize"),
+        (harness, "load_articles"),
         (harness, "load_gold_csv"),
         (harness, "correlate"),
         (harness, "fusion_row"),

@@ -58,6 +58,14 @@ class TestTokenize:
         b = tokenize("d", "novel method")
         assert a.terms == b.terms
 
+    def test_letters_and_digits_beyond_ascii(self):
+        doc = tokenize("d", "A naïve reading of １２３ cases, snake_case")
+        assert doc.terms == {"naïve", "reading", "of", "１２３", "cases", "snake", "case"}
+
+    def test_case_folding_beyond_lowercase(self):
+        # casefold, unlike lower, maps "ß" to "ss"
+        assert tokenize("d", "Straße").terms == tokenize("d", "STRASSE").terms == {"strasse"}
+
 
 class TestChiSquare:
     def test_matches_hand_formula_and_scipy(self):
@@ -319,6 +327,14 @@ class TestKwic:
         assert line.term == "rigorous"
         assert line.left == "İİİİ The design is "
         assert line.right == " and sound."
+
+    def test_folded_term_shows_the_original_word(self):
+        # "ß" folds to "ss", so the match in the folded text is one
+        # character longer than the word it was found in
+        [line] = kwic("strasse", [("d", "Die Straße ist lang.")], k=1)
+        assert (line.left, line.term, line.right) == ("Die ", "Straße", " ist lang.")
+        [line] = kwic("naïve", [("d", "A NAÏVE view, not naive.")], k=5)
+        assert (line.left, line.term, line.right) == ("A ", "NAÏVE", " view, not naive.")
 
 
 class TestTokenizerKwicEquivalence:

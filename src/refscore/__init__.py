@@ -70,7 +70,6 @@ from .stats import (
     binomial_tail,
     bootstrap_ci,
     correlate,
-    mean_over_iterations,
     midranks,
     sign_test,
     spearman,

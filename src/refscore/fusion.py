@@ -454,7 +454,7 @@ def rank_normalized_pool(
     without one unit dominating. Ranking is monotone within uoa, so
     per-uoa correlations are unchanged.
     """
-    pooled = ScoreMatrix(matrix.configured_k)
+    pooled = ScoreMatrix()
     for key in matrix.columns:
         column = matrix.cells[key]
         scaled = _ranks_within_uoa(

@@ -179,10 +179,10 @@ class ResponseCache:
         return self.root / safe_name(model) / f"{key}.json"
 
     def load(self, model: str, key: str) -> dict | None:
-        """The cached entry, or None on a miss. A file that is not valid
-        JSON, or not an entry with usable ``text``, ``attempts`` and
-        ``latency_ms``, counts as a miss and is logged as a warning; the
-        next :meth:`store` overwrites it."""
+        """The cached entry, or None on a miss. A file that cannot be read,
+        is not valid JSON, or is not an entry with usable ``text``,
+        ``attempts`` and ``latency_ms``, counts as a miss and is logged as a
+        warning; the next :meth:`store` overwrites it."""
         path = self.path_of(model, key)
         try:
             with open(path, encoding="utf-8") as fh:
@@ -192,6 +192,9 @@ class ResponseCache:
         except ValueError as exc:
             # invalid or truncated JSON, or bytes that are not UTF-8
             problem = f"invalid JSON or not UTF-8: {exc}"
+        except OSError as exc:
+            # a directory at the entry's path, a file without read permission
+            problem = f"cannot be read: {exc}"
         else:
             problem = _entry_problem(entry)
             if problem is None:
@@ -200,6 +203,9 @@ class ResponseCache:
         return None
 
     def store(self, model: str, key: str, text: str, attempts: int, latency_ms: float) -> None:
+        """Write one entry. A write that fails (a full disk, a directory
+        without write permission) is logged as a warning and leaves the
+        entry uncached; the batch goes on."""
         entry = {
             "key": key,
             "text": text,
@@ -207,7 +213,11 @@ class ResponseCache:
             "latency_ms": latency_ms,
             "stored_at": time.time(),
         }
-        atomic_write_text(self.path_of(model, key), json.dumps(entry, ensure_ascii=False))
+        path = self.path_of(model, key)
+        try:
+            atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
+        except OSError as exc:
+            logger.warning("cache entry %s not written (%s); the response is not cached", path, exc)
 
 
 def _entry_problem(entry) -> str | None:
@@ -348,7 +358,8 @@ def run_batch(
     Misses run in the calling thread instead when there is no cache and the
     backend declares ``blocks = False`` (it does no I/O, so a pool has
     nothing to overlap); a backend without the attribute counts as blocking.
-    An unusable cache entry is logged as a warning and sent again. Failed
+    An unusable cache entry is logged as a warning and sent again; a response
+    whose cache write fails is logged as a warning and kept, uncached. Failed
     tasks yield failed records instead of aborting the batch, and are
     never cached. Records come back in task order, exactly one per task.
     One INFO line per batch counts tasks, distinct requests, cache hits,

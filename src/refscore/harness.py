@@ -13,6 +13,7 @@ import inspect
 import json
 import logging
 import shutil
+import sys
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
@@ -64,7 +65,7 @@ from .prompts import (
     compose_messages,
     select_fewshot,
 )
-from .stats import ScoreCell, ScoreMatrix, aggregate_across_units, correlate, mean_over_iterations
+from .stats import ScoreCell, ScoreMatrix, aggregate_across_units, correlate
 from .synth import default_system_prompt
 from .util import atomic_write_text, check_safe_names, json_objects, safe_name, seed_int, write_csv
 from .violin import emit_violin_svg, violin_summary
@@ -196,8 +197,9 @@ _EXPECTED = {
 
 def _checked(tp, value, key: str, base: Path):
     """``value`` as the annotation ``tp`` declares it, or a ValueError naming
-    ``key``. An int field takes no bool or fraction, a float field takes an
-    int as a float, and a relative path resolves against ``base``."""
+    ``key``. An int field takes no bool or fraction, a float field takes a
+    finite number, an int as a float, and a relative path resolves against
+    ``base``."""
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):  # X | None
         (tp,) = (a for a in args if a is not NoneType)
@@ -209,10 +211,12 @@ def _checked(tp, value, key: str, base: Path):
     if tp is Path and isinstance(value, (str, Path)) and str(value):
         return base / value
     if tp is float and type(value) in (int, float):
-        return float(value)
-    if type(value) is tp:
+        # false for NaN, an infinity and an int past the float range
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is tp:
         return value
-    if origin is None and tp not in _EXPECTED:
+    elif origin is None and tp not in _EXPECTED:
         return _make(tp, _values(tp, value, key, base), key)
     got = json.dumps(value, default=str)
     raise ValueError(f"config key {key!r} must be {_EXPECTED[origin or tp]}, got {got}")
@@ -543,12 +547,33 @@ def stage_extract(cfg: ExperimentConfig, records: list[RawRecord]) -> dict:
 
 
 def build_matrix(cfg: ExperimentConfig, parsed: list[ParsedRow]) -> ScoreMatrix:
-    matrix = ScoreMatrix(configured_k=cfg.iterations)
-    by_column: dict[tuple[str, str], list[ParsedRow]] = {}
+    """The matrix of ``parsed``, in one pass: a cell is the mean of an
+    article's usable iterations, those with status ok and an effective
+    score. A (model, strategy) whose rows all failed keeps an empty column."""
+    sums: dict[tuple[str, str], dict[str, tuple[float, int]]] = {}
     for row in parsed:
-        by_column.setdefault((row.model, row.strategy), []).append(row)
-    for key in sorted(by_column):
-        matrix.add_column(key, mean_over_iterations(by_column[key]))
+        column = sums.setdefault((row.model, row.strategy), {})
+        if row.status == STATUS_OK and row.effective is not None:
+            total, k = column.get(row.article_id, (0.0, 0))
+            column[row.article_id] = (total + row.effective, k + 1)
+    return _checked_matrix(cfg, {
+        key: {art_id: ScoreCell(total / k, k) for art_id, (total, k) in column.items()}
+        for key, column in sums.items()
+    })
+
+
+def _checked_matrix(cfg: ExperimentConfig, columns) -> ScoreMatrix:
+    """``columns`` as a ScoreMatrix, in column order; a cell that claims more
+    iterations than ``cfg.iterations`` fails."""
+    matrix = ScoreMatrix()
+    for key in sorted(columns):
+        for art_id, cell in columns[key].items():
+            if cell.effective_k > cfg.iterations:
+                raise ValueError(
+                    f"cell ({key}, {art_id!r}) claims {cell.effective_k} iterations, "
+                    f"only {cfg.iterations} configured"
+                )
+        matrix.add_column(key, columns[key])
     return matrix
 
 
@@ -565,7 +590,6 @@ def _write_matrix(cfg: ExperimentConfig, matrix: ScoreMatrix) -> None:
 
 
 def read_matrix(cfg: ExperimentConfig) -> ScoreMatrix:
-    matrix = ScoreMatrix(configured_k=cfg.iterations)
     columns: dict[tuple[str, str], dict[str, ScoreCell]] = {}
     with open(cfg.out_dir / MATRIX, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
@@ -573,9 +597,7 @@ def read_matrix(cfg: ExperimentConfig) -> ScoreMatrix:
             columns.setdefault(key, {})[row["article_id"]] = ScoreCell(
                 score=float(row["score"]), effective_k=int(row["effective_k"])
             )
-    for key in sorted(columns):
-        matrix.add_column(key, columns[key])
-    return matrix
+    return _checked_matrix(cfg, columns)
 
 
 def _run_jobs(jobs) -> tuple[list, list]:
@@ -625,14 +647,14 @@ def stage_analyze(
         ["uoa", "model", "strategy", "gold_kind", "n", "rho", "ci_low", "ci_high"],
         corr_rows,
     )
-    agg_rows = []
-    for (model, strategy, kind), rhos in sorted(per_unit.items()):
-        if len(rhos) < 2:
-            continue
-        mean, lo, hi = aggregate_across_units(rhos, alpha=cfg.alpha)
-        agg_rows.append(
-            [model, strategy, kind, len(rhos), f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
-        )
+    aggregated, _ = _run_jobs(
+        (label, aggregate_across_units, rhos, cfg.alpha)
+        for label, rhos in sorted(per_unit.items())
+    )
+    agg_rows = [
+        [*label, len(per_unit[label]), f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
+        for label, (mean, lo, hi) in aggregated
+    ]
     write_csv(
         cfg.out_dir / "aggregates.csv",
         ["model", "strategy", "gold_kind", "units", "mean_rho", "ci_low", "ci_high"],

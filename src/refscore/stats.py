@@ -14,7 +14,6 @@ from math import comb
 import numpy as np
 
 from .corpus import SCORE_MAX, SCORE_MIN
-from .gateway import STATUS_OK
 # substream stays importable here: the benchmark's tracer wraps it by module
 from .util import substream, substreams  # noqa: F401
 
@@ -295,26 +294,15 @@ class ScoreCell:
 class ScoreMatrix:
     """Articles x (model, strategy) grid of averaged scores.
 
-    Cells are either a :class:`ScoreCell` or absent. When ``configured_k``
-    is given, no cell may claim more usable iterations than were run.
+    Cells are either a :class:`ScoreCell` or absent.
     """
 
-    def __init__(self, configured_k: int | None = None):
-        if configured_k is not None and configured_k < 1:
-            raise ValueError("configured_k must be at least 1")
-        self.configured_k = configured_k
+    def __init__(self):
         self.cells: dict[ColumnKey, dict[str, ScoreCell]] = {}
 
     def add_column(self, key: ColumnKey, column: dict[str, ScoreCell]) -> None:
         if key in self.cells:
             raise ValueError(f"column {key} already present")
-        if self.configured_k is not None:
-            for art_id, cell in column.items():
-                if cell.effective_k > self.configured_k:
-                    raise ValueError(
-                        f"cell ({key}, {art_id!r}) claims {cell.effective_k} iterations, "
-                        f"only {self.configured_k} configured"
-                    )
         self.cells[key] = dict(column)
 
     @property
@@ -331,7 +319,7 @@ class ScoreMatrix:
         """One sub-matrix per unit that ``uoa_of`` names, in unit order. Each
         keeps every column, empty where the column scored none of the unit's
         articles; articles that ``uoa_of`` does not name are left out."""
-        units = {uoa: ScoreMatrix(self.configured_k) for uoa in sorted(set(uoa_of.values()))}
+        units = {uoa: ScoreMatrix() for uoa in sorted(set(uoa_of.values()))}
         for key, column in self.cells.items():
             for unit in units.values():
                 unit.cells[key] = {}
@@ -357,22 +345,3 @@ class ScoreMatrix:
         x = np.array([column[i].score for i in ids], dtype=float)
         y = np.array([gold_scores[i] for i in ids], dtype=float)
         return ids, x, y
-
-
-def mean_over_iterations(records) -> dict[str, ScoreCell]:
-    """Average effective scores per article over one column's records.
-
-    Only records with ok status, an effective score, and no multi-article
-    flag contribute. Articles with nothing usable get no cell.
-    """
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for rec in records:
-        if rec.status != STATUS_OK or rec.effective is None:
-            continue
-        sums[rec.article_id] = sums.get(rec.article_id, 0.0) + rec.effective
-        counts[rec.article_id] = counts.get(rec.article_id, 0) + 1
-    return {
-        art_id: ScoreCell(score=sums[art_id] / counts[art_id], effective_k=counts[art_id])
-        for art_id in sums
-    }

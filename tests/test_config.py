@@ -153,6 +153,18 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         ({"wata": {"q_threshold": 0}}, "wata.q_threshold must lie in (0, 1]"),
         ({"mock": {"enabled": True, "noise_sd": -0.5}}, "mock.noise_sd must be non-negative"),
         (
+            {"mock": {"enabled": True, "noise_sd": float("nan")}},
+            "config key 'mock.noise_sd' must be a number, got NaN",
+        ),
+        (
+            {"models": [{"name": "mock-a", "temperature": float("inf")}]},
+            "config key 'models[0].temperature' must be a number, got Infinity",
+        ),
+        (
+            {"de": {"mutation": 10**400}},
+            "config key 'de.mutation' must be a number, got 1" + "0" * 400,
+        ),
+        (
             {"mock": {"enabled": True, "styles": {"mock-c": "subscores"}}},
             "mock.styles.mock-c: unknown mock style 'subscores'",
         ),
@@ -187,7 +199,8 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
     ids=[
         "list", "nested-null", "model-string", "fraction", "bool", "gold-path", "model-name",
         "list-item", "nested-object", "empty-path", "alpha-above-1", "alpha-zero",
-        "bootstrap-reps", "cv-folds", "wata-q-threshold", "mock-noise-sd", "mock-style",
+        "bootstrap-reps", "cv-folds", "wata-q-threshold", "mock-noise-sd", "mock-noise-sd-nan",
+        "model-temperature-infinity", "float-overflow", "mock-style",
         "duplicate-model", "mock-style-model", "safe-name-collision", "dot-model",
         "wata-pair-collision", "wata-pair-collision-without-vs",
         "sample-per-uoa-negative", "sample-per-uoa-zero", "no-strategy", "duplicate-strategy",

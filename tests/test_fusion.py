@@ -28,9 +28,9 @@ from refscore.util import substream
 FAST_DE = DEParams(population=16, generations=40)
 
 
-def build_matrix(columns: dict, k: int = 5) -> ScoreMatrix:
+def build_matrix(columns: dict) -> ScoreMatrix:
     """columns: {(model, strategy): {article_id: score}}"""
-    matrix = ScoreMatrix(k)
+    matrix = ScoreMatrix()
     for key, scores in columns.items():
         matrix.add_column(
             key, {i: ScoreCell(score=s, effective_k=1) for i, s in scores.items()}
@@ -101,7 +101,7 @@ class TestRankAverageFusion:
             lambda v: 1.0 + 3.0 * np.sqrt((v - 1.0) / 3.0),
             lambda v: 1.0 + 3.0 * (np.expm1(v - 1.0) / np.expm1(3.0)),
         ]
-        warped_matrix = ScoreMatrix(5)
+        warped_matrix = ScoreMatrix()
         for k, key in enumerate(matrix.columns):
             col = matrix.column_scores(key)
             warped_matrix.add_column(

@@ -1,4 +1,5 @@
 """Tests for the completion gateway: keys, cache, retries, batching, mock."""
+import errno
 import http.server
 import json
 import logging
@@ -467,6 +468,40 @@ class TestRunBatch:
         assert all(r.status == STATUS_OK for r in records)
         assert backend.calls == [tasks[1].key]
         assert json.loads(bad.read_text(encoding="utf-8"))["text"] == "Score: 3*"
+
+    def test_unreadable_cache_entry_is_a_logged_miss(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        tasks = [make_task(article_id=f"a{i}") for i in range(3)]
+        run_batch(tasks, self.CONFIGS, cache=cache, backend=CountingBackend())
+        # a directory where one entry's file belongs can be neither read nor replaced
+        bad = cache.path_of("m0", cache_key(tasks[1], self.CONFIGS["m0"]))
+        bad.unlink()
+        bad.mkdir()
+        caplog.set_level(logging.WARNING, logger="refscore.gateway")
+        backend = CountingBackend()
+        records = run_batch(tasks, self.CONFIGS, cache=cache, backend=backend)
+        assert all(r.status == STATUS_OK for r in records)
+        assert backend.calls == [tasks[1].key]
+        load, store = (r.getMessage() for r in caplog.records)
+        assert load.startswith(f"unusable cache entry {bad} (cannot be read: ")
+        assert store.startswith(f"cache entry {bad} not written (")
+
+    def test_failed_cache_write_keeps_the_record(self, tmp_path, caplog, monkeypatch):
+        def full_disk(path, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(gateway, "atomic_write_text", full_disk)
+        caplog.set_level(logging.WARNING, logger="refscore.gateway")
+        cache = ResponseCache(tmp_path)
+        tasks = [make_task(article_id=f"a{i}") for i in range(6)]
+        backend = CountingBackend()
+        records = run_batch(tasks, self.CONFIGS, cache=cache, backend=backend)
+        assert [r.key for r in records] == [t.key for t in tasks]
+        assert all(r.status == STATUS_OK and r.text == "Score: 3*" for r in records)
+        assert len(backend.calls) == 6
+        assert len(caplog.records) == 6
+        assert all("No space left on device" in r.getMessage() for r in caplog.records)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_task_yields_failed_record_and_batch_continues(self):
         class FlakyBackend(CountingBackend):

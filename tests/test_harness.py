@@ -16,6 +16,7 @@ from refscore.harness import (
     SCHEMA_VERSION,
     STAGES,
     ExperimentConfig,
+    ParsedRow,
     build_matrix,
     load_config,
     read_matrix,
@@ -23,6 +24,7 @@ from refscore.harness import (
 )
 from refscore import gateway, harness
 from refscore.gateway import ModelConfig
+from refscore.stats import ScoreCell
 from refscore.synth import make_synthetic_corpus
 
 MINI_DE = {"population": 12, "generations": 25}
@@ -251,6 +253,73 @@ class TestPipelineArtifacts:
             for art_id in a:
                 assert b[art_id].score == pytest.approx(a[art_id].score, abs=1e-12)
                 assert b[art_id].effective_k == a[art_id].effective_k
+
+
+def matrix_config(tmp_path, iterations: int = 5) -> ExperimentConfig:
+    return ExperimentConfig(
+        articles=tmp_path / "a.jsonl", out_dir=tmp_path, models=[ModelConfig(name="m")],
+        strategies=("zero",), iterations=iterations,
+    )
+
+
+def rows(*items, strategy="zero") -> list[ParsedRow]:
+    """One ParsedRow of model "m" per (article_id, status, effective)."""
+    return [
+        ParsedRow(art_id, "m", strategy, i, status, effective=effective)
+        for i, (art_id, status, effective) in enumerate(items, 1)
+    ]
+
+
+class TestBuildMatrix:
+    """A cell is the mean of an article's rows with status ok and an effective score."""
+
+    def test_constant_scores(self, tmp_path):
+        cells = build_matrix(matrix_config(tmp_path), rows(*[("a", "ok", 3.0)] * 5)).cells
+        assert cells[("m", "zero")]["a"].score == 3.0
+        assert cells[("m", "zero")]["a"].effective_k == 5
+
+    def test_mean_of_listed_values(self, tmp_path):
+        vals = (3, 4, 3, 3.5, 3)
+        matrix = build_matrix(matrix_config(tmp_path), rows(*[("a", "ok", v) for v in vals]))
+        cell = matrix.cells[("m", "zero")]["a"]
+        assert cell.score == pytest.approx(3.3)
+        assert cell.effective_k == 5
+
+    def test_unusable_records_reduce_effective_k(self, tmp_path):
+        parsed = rows(*[("a", "ok", 3.0)] * 3, *[("a", "ok", None)] * 2)
+        cell = build_matrix(matrix_config(tmp_path), parsed).cells[("m", "zero")]["a"]
+        assert cell.effective_k == 3
+        assert cell.score == 3.0
+
+    def test_failed_records_skipped(self, tmp_path):
+        parsed = rows(("a", "failed", 4.0), ("a", "ok", 2.0))
+        assert build_matrix(matrix_config(tmp_path), parsed).cells[("m", "zero")]["a"].score == 2.0
+
+    def test_article_without_usable_records_absent(self, tmp_path):
+        matrix = build_matrix(matrix_config(tmp_path), rows(("a", "ok", None)))
+        assert matrix.cells == {("m", "zero"): {}}
+
+    def test_column_whose_rows_all_failed_is_kept_empty(self, tmp_path):
+        parsed = rows(("a", "ok", 3.0)) + rows(("a", "failed", None), strategy="few")
+        matrix = build_matrix(matrix_config(tmp_path), parsed)
+        assert matrix.columns == [("m", "few"), ("m", "zero")]
+        assert matrix.cells[("m", "few")] == {}
+
+    def test_cell_over_the_configured_iterations_is_rejected(self, tmp_path):
+        message = "cell (('m', 'zero'), 'a') claims 4 iterations, only 3 configured"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_matrix(matrix_config(tmp_path, 3), rows(*[("a", "ok", 3.0)] * 4))
+
+    def test_read_cell_over_the_configured_iterations_is_rejected(self, tmp_path):
+        (tmp_path / "matrix.csv").write_text(
+            "article_id,model,strategy,score,effective_k\na,m,zero,3.0,4\n", encoding="utf-8"
+        )
+        message = "cell (('m', 'zero'), 'a') claims 4 iterations, only 3 configured"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_matrix(matrix_config(tmp_path, 3))
+        assert read_matrix(matrix_config(tmp_path, 4)).cells == {
+            ("m", "zero"): {"a": ScoreCell(3.0, 4)}
+        }
 
 
 class TestStageIsolation:
@@ -511,8 +580,13 @@ class TestSkippedCells:
         counts = stage_counts(manifest, "analyze")
         assert counts["correlation_skipped"] == full["correlation_skipped"] + len(kinds)
         assert counts["correlation_rows"] == full["correlation_rows"] - len(kinds)
+        # unit 2 alone is left for the column's aggregate, which needs 2 units
         assert skip_lines(caplog) == [
             f"job (1, 'mock-a', 'zero', '{kind}') skipped: spearman needs at least 3 pairs"
+            for kind in sorted(kinds)
+        ] + [
+            f"job ('mock-a', 'zero', '{kind}') skipped: "
+            "aggregate_across_units needs at least 2 unit correlations"
             for kind in sorted(kinds)
         ]
 

@@ -1,4 +1,6 @@
-"""Importing refscore loads only what every stage needs."""
+"""Importing refscore loads only what every stage needs, and the evaluation
+modules import no layer above them."""
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +25,30 @@ def test_import_leaves_lazy_modules_unloaded():
         timeout=120, check=True,
     )
     assert out.stdout.strip() == ""
+
+
+# the evaluation modules work on plain data; none may reach back into the
+# request layer or the orchestration that calls them
+EVALUATION = ("stats", "fusion", "extract", "wata", "violin")
+UPPER = {"gateway", "harness", "cli"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports, counting a
+    refscore submodule by its own name, as "gateway" for ``from .gateway
+    import X``, ``from . import gateway`` and ``import refscore.gateway``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            # an imported name may itself be a module: "from . import gateway"
+            names |= {module} | {f"{module}.{alias.name}".lstrip(".") for alias in node.names}
+    return {name.removeprefix("refscore.").split(".")[0] for name in names}
+
+
+def test_evaluation_modules_import_no_upper_layer():
+    for name in EVALUATION:
+        source = (SRC / "refscore" / f"{name}.py").read_text(encoding="utf-8")
+        assert imported_modules(source) & UPPER == set(), name

@@ -1,5 +1,4 @@
 """Rank statistics against brute-force oracles."""
-from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -19,7 +18,6 @@ from refscore.stats import (
     binomial_tail,
     bootstrap_ci,
     correlate,
-    mean_over_iterations,
     midranks,
     midranks_2d,
     sign_test,
@@ -439,11 +437,6 @@ class TestScoreMatrix:
         with pytest.raises(ValueError, match="effective_k"):
             ScoreCell(score=3.0, effective_k=0)
 
-    def test_effective_k_capped_by_configuration(self):
-        m = ScoreMatrix(configured_k=3)
-        with pytest.raises(ValueError, match="claims 4"):
-            m.add_column(("m", "zero"), {"a": ScoreCell(3.0, 4)})
-
     def test_duplicate_column_rejected(self):
         m = ScoreMatrix()
         m.add_column(("m", "zero"), {"a": ScoreCell(3.0, 1)})
@@ -458,12 +451,12 @@ class TestScoreMatrix:
         assert m.cell_count() == 4
 
     def test_by_uoa_splits_every_column_by_unit(self):
-        m = ScoreMatrix(configured_k=2)
+        m = ScoreMatrix()
         m.add_column(("m1", "zero"), {"a": ScoreCell(2.0, 1), "b": ScoreCell(3.0, 2)})
         m.add_column(("m2", "zero"), {"b": ScoreCell(3.5, 1), "z": ScoreCell(1.0, 1)})
         units = m.by_uoa({"b": 2, "a": 1, "c": 3})
         assert list(units) == [1, 2, 3]
-        assert all(u.columns == m.columns and u.configured_k == 2 for u in units.values())
+        assert all(u.columns == m.columns for u in units.values())
         # a column that scored none of a unit's articles is kept, empty
         assert units[1].cells == {("m1", "zero"): {"a": ScoreCell(2.0, 1)}, ("m2", "zero"): {}}
         assert units[2].cells == {
@@ -479,35 +472,6 @@ class TestScoreMatrix:
         assert ids == ["b"]
         assert_allclose(x, [3.0])
         assert_allclose(y, [4.0])
-
-
-Rec = namedtuple("Rec", "article_id status effective")
-
-
-class TestMeanOverIterations:
-    def test_constant_scores(self):
-        cells = mean_over_iterations([Rec("a", "ok", 3.0)] * 5)
-        assert cells["a"].score == 3.0
-        assert cells["a"].effective_k == 5
-
-    def test_mean_of_listed_values(self):
-        vals = (3, 4, 3, 3.5, 3)
-        cells = mean_over_iterations([Rec("a", "ok", v) for v in vals])
-        assert cells["a"].score == pytest.approx(3.3)
-        assert cells["a"].effective_k == 5
-
-    def test_unusable_records_reduce_effective_k(self):
-        recs = [Rec("a", "ok", 3.0)] * 3 + [Rec("a", "ok", None)] * 2
-        cells = mean_over_iterations(recs)
-        assert cells["a"].effective_k == 3
-        assert cells["a"].score == 3.0
-
-    def test_failed_records_skipped(self):
-        recs = [Rec("a", "failed", 4.0), Rec("a", "ok", 2.0)]
-        assert mean_over_iterations(recs)["a"].score == 2.0
-
-    def test_article_without_usable_records_absent(self):
-        assert mean_over_iterations([Rec("a", "ok", None)]) == {}
 
 
 class TestAveragingBeatsSingle:

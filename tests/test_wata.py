@@ -1,4 +1,6 @@
 """Tests for the term-containment contrast and keyword-in-context sampling."""
+import unicodedata
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -65,6 +67,18 @@ class TestTokenize:
     def test_case_folding_beyond_lowercase(self):
         # casefold, unlike lower, maps "ß" to "ss"
         assert tokenize("d", "Straße").terms == tokenize("d", "STRASSE").terms == {"strasse"}
+
+    def test_vowel_signs_stay_inside_their_word(self):
+        # each Devanagari vowel sign is a combining mark between letters
+        assert tokenize("d", "हिन्दी भाषा").terms == {"हिन्दी", "भाषा"}
+
+    def test_decomposed_accents_stay_inside_their_word(self):
+        text = unicodedata.normalize("NFD", "naïve café")
+        assert tokenize("d", text).terms == {"nai\u0308ve", "cafe\u0301"}
+
+    def test_dotted_capital_i_keeps_its_word(self):
+        # "İ" folds to "i" and the combining dot above, U+0307
+        assert tokenize("d", "İstanbul").terms == {"i\u0307stanbul"}
 
 
 class TestChiSquare:
@@ -302,6 +316,12 @@ class TestKwic:
         assert len(lines) == 1
         assert lines[0].right.startswith(" thinking")
 
+    def test_match_inside_a_longer_run_is_passed_over(self):
+        # "aa" first matches inside "aaa"; the next search starts one
+        # character later, not after that match
+        [line] = kwic("aa", [("d", "aaa aa")], k=5)
+        assert (line.left, line.term, line.right) == ("aaa ", "aa", "")
+
     def test_case_insensitive(self):
         docs = [("d", "Novel approaches. NOVEL results.")]
         assert len(kwic("novel", docs, k=5)) == 2
@@ -352,6 +372,7 @@ class TestTokenizerKwicEquivalence:
         "A naïve reading, naively naïve.",
         "İstanbul and İİİİ İzmir, then plain istanbul.",
         "Full-width １２３ and ＡＢＣ beside plain words.",
+        "हिन्दी भाषा, a decomposed nai\u0308ve cafe\u0301 and a stray \u0301mark.",
     ]
     # runs of term characters that are no token of any text: across a
     # removed character, or a non-ASCII character read as ASCII

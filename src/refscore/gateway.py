@@ -29,7 +29,11 @@ STATUS_FAILED = "failed"
 
 RETRY_BASE_SECONDS = 1.0
 RETRY_FACTOR = 2.0
+RETRY_AFTER_MAX_SECONDS = 60.0
 MAX_ATTEMPTS = 5
+
+#: the ``format`` of new cache entries: text holds served reasoning as a think span
+CACHE_FORMAT = 1
 
 MOCK_STYLES = ("plain", "reasoning", "subscores-only", "multi-article")
 
@@ -212,6 +216,7 @@ class ResponseCache:
             "attempts": attempts,
             "latency_ms": latency_ms,
             "stored_at": time.time(),
+            "format": CACHE_FORMAT,
         }
         path = self.path_of(model, key)
         try:
@@ -234,24 +239,31 @@ def _entry_problem(entry) -> str | None:
 
 
 def default_transport(url: str, payload: dict, headers: dict, timeout: float):
-    """POST JSON with `requests`. Returns (status_code, parsed body).
+    """POST JSON on a connection of its own, with `urllib.request`.
+    Returns (status_code, parsed body, Retry-After header or None).
 
-    Network-level failures surface as ConnectionError/TimeoutError so the
-    retry loop can treat them uniformly.
+    Non-2xx answers are returned, not raised; network-level failures surface
+    as OSError (a protocol error as ConnectionError) for the retry loop.
     """
-    import requests
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
 
+    request = Request(url, json.dumps(payload).encode(), headers, method="POST")
     try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.exceptions.Timeout as exc:
-        raise TimeoutError(str(exc)) from None
-    except requests.exceptions.RequestException as exc:
-        raise ConnectionError(str(exc)) from None
+        try:
+            resp = urlopen(request, timeout=timeout)
+        except HTTPError as exc:
+            resp = exc
+        with resp:
+            raw = resp.read()
+    except HTTPException as exc:
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from None
     try:
-        body = resp.json()
+        body = json.loads(raw)
     except ValueError:
-        body = resp.text
-    return resp.status_code, body
+        body = raw.decode("utf-8", errors="replace")
+    return resp.status, body, resp.headers.get("Retry-After")
 
 
 def _endpoint(cfg: ModelConfig) -> str:
@@ -271,13 +283,44 @@ def _build_payload(cfg: ModelConfig, messages: MessageSequence) -> dict:
 
 
 def _extract_content(body) -> str:
+    """The answer, preceded by the served ``reasoning_content`` as a
+    ``<think>`` span when there is one."""
     try:
-        content = body["choices"][0]["message"]["content"]
+        choice = body["choices"][0]
+        message = choice["message"]
+        content = message["content"]
     except (KeyError, IndexError, TypeError):
         raise GatewayError("response body lacks choices[0].message.content") from None
     if not isinstance(content, str) or not content:
+        if choice.get("finish_reason") == "length":
+            raise GatewayError("response truncated at max_output_tokens before any content")
         raise GatewayError("response content is empty")
+    reasoning = message.get("reasoning_content")
+    if isinstance(reasoning, str) and reasoning:
+        return f"<think>{reasoning}</think>\n\n{content}"
     return content
+
+
+def _retry_delay(retry_after: str | None, attempt: int) -> float:
+    """Seconds before the next attempt: the server's ``Retry-After``, as
+    delta-seconds or an HTTP-date (RFC 9110 §10.2.3) capped at
+    RETRY_AFTER_MAX_SECONDS, or else the backoff step."""
+    backoff = RETRY_BASE_SECONDS * RETRY_FACTOR ** (attempt - 1)
+    value = (retry_after or "").strip()
+    if not value:
+        return backoff
+    if value.isascii() and value.isdigit():
+        return min(float(value), RETRY_AFTER_MAX_SECONDS)
+    from datetime import timezone
+    from email.utils import parsedate_to_datetime
+
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return backoff
+    # an HTTP-date is always GMT, also in the asctime form that names no zone
+    when = when if when.tzinfo else when.replace(tzinfo=timezone.utc)
+    return min(max(when.timestamp() - time.time(), 0.0), RETRY_AFTER_MAX_SECONDS)
 
 
 def request_completion(
@@ -288,10 +331,11 @@ def request_completion(
 ) -> tuple[str, int, float]:
     """One completion with retries. Returns (text, attempts, latency_ms).
 
-    429 and 5xx responses and network timeouts/disconnects are retried with
-    exponential backoff (1s, 2s, 4s, ...) up to 5 attempts; other 4xx
-    responses fail immediately. The API key is sent as a bearer header and
-    never logged or persisted.
+    429 and 5xx responses and network failures are retried with exponential
+    backoff (1s, 2s, 4s, ...) up to 5 attempts, a retried response's
+    ``Retry-After`` taking the place of the backoff step; other 4xx
+    responses, and a 200 without usable content, fail immediately. The API
+    key is sent as a bearer header and never logged or persisted.
     """
     transport = transport or default_transport
     url = _endpoint(cfg)
@@ -305,9 +349,9 @@ def request_completion(
     last_status: int | None = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
-            status, body = transport(url, payload, headers, cfg.request_timeout)
-        except (ConnectionError, TimeoutError) as exc:
-            last_error, last_status = f"transport failure: {exc}", None
+            status, body, retry_after = transport(url, payload, headers, cfg.request_timeout)
+        except OSError as exc:
+            last_error, last_status, retry_after = f"transport failure: {exc}", None, None
         else:
             if status == 200:
                 try:
@@ -323,7 +367,7 @@ def request_completion(
                     f"non-retryable {last_error}", status=status, attempts=attempt
                 )
         if attempt < MAX_ATTEMPTS:
-            sleep(RETRY_BASE_SECONDS * RETRY_FACTOR ** (attempt - 1))
+            sleep(_retry_delay(retry_after, attempt))
     raise GatewayError(
         f"gave up after {MAX_ATTEMPTS} attempts: {last_error}",
         status=last_status,
@@ -358,6 +402,8 @@ def run_batch(
     Misses run in the calling thread instead when there is no cache and the
     backend declares ``blocks = False`` (it does no I/O, so a pool has
     nothing to overlap); a backend without the attribute counts as blocking.
+    Hits from entries stored before the ``format`` field, which may lack
+    the served reasoning, are served and counted in one WARNING per batch.
     An unusable cache entry is logged as a warning and sent again; a response
     whose cache write fails is logged as a warning and kept, uncached. Failed
     tasks yield failed records instead of aborting the batch, and are
@@ -381,12 +427,19 @@ def run_batch(
     # the key: (text, latency_ms, status, attempts)
     outcomes: dict[tuple[str, str], tuple[str, float, str, int]] = {}
     misses: list[tuple[tuple[str, str], CompletionTask]] = []
+    unformatted = 0
     for group_key, task in first_task_for.items():
         hit = cache.load(*group_key) if cache is not None else None
         if hit is None:
             misses.append((group_key, task))
         else:
             outcomes[group_key] = (hit["text"], hit["latency_ms"], STATUS_OK, hit["attempts"])
+            unformatted += "format" not in hit
+    if unformatted:
+        logger.warning(
+            "%d cache hits predate the entry format; each may hold an answer without "
+            "the reasoning its server returned", unformatted,
+        )
 
     def execute(item) -> tuple[tuple[str, str], tuple[str, float, str, int]]:
         (model, key), task = item

@@ -115,6 +115,9 @@ class ExperimentConfig:
             raise ValueError("concurrency must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.seed >= 2**64:
+            # seed streams take 64 bits, so a larger seed would alias seed mod 2**64
+            raise ValueError("seed must be below 2**64")
         if self.bootstrap_reps < 1:
             raise ValueError("bootstrap_reps must be at least 1")
         if not 0.0 < self.alpha < 1.0:

@@ -49,6 +49,12 @@ def test_zero_override_is_rejected_not_replaced(config_path, flag, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_seed_override_of_64_bits_is_rejected(config_path, capsys):
+    assert main(["ingest", "--config", str(config_path), "--seed", str(2**64)]) == 2
+    assert "seed must be below 2**64" in capsys.readouterr().err
+    assert load_config(config_path, {"seed": 2**64 - 1}).seed == 2**64 - 1
+
+
 @pytest.mark.parametrize(
     "extra, key",
     [
@@ -195,6 +201,7 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         ({"sample_per_uoa": 0}, "sample_per_uoa must be at least 1"),
         ({"strategies": []}, "at least one strategy must be configured"),
         ({"strategies": ["zero", "zero"]}, "duplicate strategies configured"),
+        ({"seed": 2**64}, "seed must be below 2**64"),
     ],
     ids=[
         "list", "nested-null", "model-string", "fraction", "bool", "gold-path", "model-name",
@@ -204,6 +211,7 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         "duplicate-model", "mock-style-model", "safe-name-collision", "dot-model",
         "wata-pair-collision", "wata-pair-collision-without-vs",
         "sample-per-uoa-negative", "sample-per-uoa-zero", "no-strategy", "duplicate-strategy",
+        "seed-64-bits",
     ],
 )
 def test_wrong_or_missing_key_is_rejected_by_name(tmp_path, extra, message, capsys):

@@ -3,8 +3,10 @@ import errno
 import http.server
 import json
 import logging
+import socket
 import threading
 import time
+from email.utils import formatdate
 
 import pytest
 
@@ -13,6 +15,7 @@ from refscore.extract import analyze_report
 from refscore.gateway import (
     MAX_ATTEMPTS,
     MOCK_STYLES,
+    RETRY_AFTER_MAX_SECONDS,
     STATUS_FAILED,
     STATUS_OK,
     CompletionTask,
@@ -25,6 +28,7 @@ from refscore.gateway import (
     _extract_content,
     _round_to_half,
     cache_key,
+    default_transport,
     request_completion,
     require_api_keys,
     run_batch,
@@ -46,7 +50,8 @@ def make_task(article_id="a1", model="m0", strategy="zero", iteration=1, text=No
 
 
 class ScriptedTransport:
-    """Pops one scripted outcome per call: (status, body) or an exception."""
+    """Pops one scripted outcome per call: (status, body), (status, body,
+    Retry-After) or an exception."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -59,7 +64,7 @@ class ScriptedTransport:
         action = self.script.pop(0)
         if isinstance(action, Exception):
             raise action
-        return action
+        return (*action, None)[:3]
 
 
 class TestCacheKey:
@@ -222,15 +227,49 @@ class TestRequestCompletion:
 
     def test_network_failures_retried(self):
         transport = ScriptedTransport(
-            [ConnectionError("reset"), TimeoutError("slow"), (200, OK_BODY)]
+            [ConnectionError("reset"), TimeoutError("slow"), OSError("unreachable"), (200, OK_BODY)]
         )
         sleeps = []
         cfg = ModelConfig(name="m0", base_url="http://host")
         text, attempts, _ = request_completion(
             cfg, make_task().messages, transport=transport, sleep=sleeps.append
         )
-        assert attempts == 3
+        assert attempts == 4
         assert text == "Score: 3*"
+
+    @pytest.mark.parametrize(
+        "retry_after, delay",
+        [
+            ("3", 3.0),
+            (" 0 ", 0.0),
+            ("3600", RETRY_AFTER_MAX_SECONDS),
+            ("Fri, 31 Dec 9999 23:59:59 GMT", RETRY_AFTER_MAX_SECONDS),
+            ("Sun, 06 Nov 1994 08:49:37 GMT", 0.0),
+            ("Sun Nov  6 08:49:37 1994", 0.0),
+            ("soon", 1.0),
+            ("-5", 1.0),
+            ("1.5", 1.0),
+        ],
+        ids=["delta", "zero", "delta-capped", "date-capped", "date-past", "asctime-past",
+             "unparseable", "negative", "fraction"],
+    )
+    def test_retry_after_takes_the_place_of_the_backoff_step(self, retry_after, delay):
+        transport = ScriptedTransport([(429, {}, retry_after), (503, {}), (200, OK_BODY)])
+        sleeps = []
+        cfg = ModelConfig(name="m0", base_url="http://host")
+        request_completion(cfg, make_task().messages, transport=transport, sleep=sleeps.append)
+        assert sleeps == [delay, 2.0]
+
+    def test_retry_after_date_counts_from_now(self):
+        transport = ScriptedTransport(
+            [(503, {}, formatdate(time.time() + 30, usegmt=True)), (200, OK_BODY)]
+        )
+        sleeps = []
+        cfg = ModelConfig(name="m0", base_url="http://host")
+        request_completion(cfg, make_task().messages, transport=transport, sleep=sleeps.append)
+        # an HTTP-date has whole seconds, so up to one is lost
+        [delay] = sleeps
+        assert 28.0 < delay <= 30.0
 
     def test_api_key_in_header_never_in_payload(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "sk-secret-123")
@@ -293,6 +332,16 @@ class TestRequestCompletion:
         with pytest.raises(GatewayError, match="empty"):
             request_completion(cfg, make_task().messages, transport=transport)
 
+    @pytest.mark.parametrize("content", ["", None])
+    def test_truncation_before_any_content_is_named_and_not_retried(self, content):
+        body = {"choices": [{"message": {"content": content, "reasoning_content": "Hmm"},
+                             "finish_reason": "length"}]}
+        transport = ScriptedTransport([(200, body)])
+        cfg = ModelConfig(name="m0", base_url="http://host", max_output_tokens=16)
+        with pytest.raises(GatewayError, match="truncated at max_output_tokens") as info:
+            request_completion(cfg, make_task().messages, transport=transport)
+        assert info.value.attempts == 1
+
     def test_trailing_slash_in_base_url(self):
         transport = ScriptedTransport([(200, OK_BODY)])
         cfg = ModelConfig(name="m0", base_url="http://host/v1/")
@@ -321,6 +370,14 @@ class TestBuildPayload:
             _extract_content({"choices": []})
         with pytest.raises(GatewayError):
             _extract_content("plain text body")
+        # served reasoning becomes a think span, which the parser passes over
+        message = {"content": "Score: 3*", "reasoning_content": "I think 2* maybe"}
+        text = _extract_content({"choices": [{"message": message}]})
+        assert text == "<think>I think 2* maybe</think>\n\nScore: 3*"
+        assert analyze_report(text).effective == 3.0
+        for reasoning in ("", None, 5):
+            message = {"content": "Score: 3*", "reasoning_content": reasoning}
+            assert _extract_content({"choices": [{"message": message}]}) == "Score: 3*"
 
 
 class CountingBackend:
@@ -350,6 +407,34 @@ class GaugeBackend(CountingBackend):
         with self.lock:
             self.active -= 1
             return super().complete_task(task, cfg)
+
+
+class Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt that stops a batch part way."""
+
+
+class KeyedBackend(CountingBackend):
+    """Answers each task with text of its own, and raises Interrupt on every
+    call after the first ``interrupt_after``."""
+
+    blocks = True
+
+    def __init__(self, interrupt_after=None):
+        super().__init__()
+        self.interrupt_after = interrupt_after
+        self.lock = threading.Lock()
+
+    def complete_task(self, task, cfg):
+        with self.lock:
+            if len(self.calls) == self.interrupt_after:
+                raise Interrupt
+            self.calls.append(task.key)
+        return f"Score: 3*\n{task.key}", 1, 1.0
+
+
+class NoBackend:
+    def complete_task(self, task, cfg):
+        raise AssertionError("this batch must send nothing")
 
 
 class NoPool:
@@ -457,6 +542,40 @@ class TestRunBatch:
             "batch: 5 tasks, 4 distinct requests, 2 cache hits, 2 sent, 1 failed"
         )
 
+    def test_hits_without_a_format_are_served_and_counted(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        tasks = [make_task(article_id=f"a{i}") for i in range(3)]
+        first = run_batch(tasks, self.CONFIGS, cache=cache, backend=CountingBackend())
+        assert all(json.loads(p.read_text())["format"] == gateway.CACHE_FORMAT
+                   for p in tmp_path.rglob("*.json"))
+        caplog.set_level(logging.WARNING, logger="refscore.gateway")
+        assert run_batch(tasks, self.CONFIGS, cache=cache, backend=NoBackend()) == first
+        assert caplog.records == []
+        for task in tasks[:2]:
+            path = cache.path_of("m0", cache_key(task, self.CONFIGS["m0"]))
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            del entry["format"]
+            path.write_text(json.dumps(entry), encoding="utf-8")
+        assert run_batch(tasks + tasks, self.CONFIGS, cache=cache, backend=NoBackend()) == first * 2
+        [warning] = caplog.records
+        assert warning.getMessage().startswith("2 cache hits predate the entry format;")
+
+    def test_interrupted_batch_resumes_without_paying_again(self, tmp_path):
+        tasks = [make_task(article_id=f"a{i}", iteration=j) for i in range(30) for j in (1, 2)]
+        tasks += tasks[:10]
+        distinct = 60
+        uninterrupted = run_batch(tasks, self.CONFIGS, backend=KeyedBackend())
+        cache = ResponseCache(tmp_path)
+        with pytest.raises(Interrupt):
+            run_batch(tasks, self.CONFIGS, concurrency_limit=2, cache=cache,
+                      backend=KeyedBackend(interrupt_after=10))
+        stored = len(list(tmp_path.rglob("*.json")))
+        assert stored == 10
+        backend = KeyedBackend()
+        resumed = run_batch(tasks, self.CONFIGS, concurrency_limit=2, cache=cache, backend=backend)
+        assert len(backend.calls) == distinct - stored
+        assert resumed == uninterrupted
+
     def test_corrupt_cache_file_is_a_miss_and_rewritten(self, tmp_path):
         cache = ResponseCache(tmp_path)
         tasks = [make_task(article_id=f"a{i}") for i in range(3)]
@@ -556,12 +675,21 @@ class TestRunBatch:
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers the first request 429, with the server's ``retry_after`` as
+    its Retry-After header when set, and every later one 200; when the
+    server has ``raw`` bytes, writes them as the whole response instead."""
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         self.server.requests.append(body)
+        if self.server.raw is not None:
+            self.wfile.write(self.server.raw)
+            return
         if len(self.server.requests) == 1:
             self.send_response(429)
+            if self.server.retry_after is not None:
+                self.send_header("Retry-After", self.server.retry_after)
             self.end_headers()
             self.wfile.write(b"{}")
             return
@@ -581,28 +709,70 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+@pytest.fixture
+def scripted_server():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.requests, server.retry_after, server.raw = [], None, None
+    server.cfg = ModelConfig(name="m0", base_url=f"http://127.0.0.1:{server.server_address[1]}")
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 class TestDefaultTransportIntegration:
-    def test_retry_then_success_against_local_server(self):
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-        server.requests = []
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            port = server.server_address[1]
-            cfg = ModelConfig(name="m0", base_url=f"http://127.0.0.1:{port}")
-            sleeps = []
-            text, attempts, latency = request_completion(
-                cfg, make_task().messages, sleep=sleeps.append
-            )
-            assert text == "Score: 2*\nmodel=m0"
-            assert attempts == 2
-            assert sleeps == [1.0]
-            assert server.requests[0]["messages"] == [
-                {"role": "user", "content": "Score article a1"}
-            ]
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_retry_then_success_against_local_server(self, scripted_server):
+        sleeps = []
+        text, attempts, latency = request_completion(
+            scripted_server.cfg, make_task().messages, sleep=sleeps.append
+        )
+        assert text == "Score: 2*\nmodel=m0"
+        assert attempts == 2
+        assert sleeps == [1.0]
+        assert scripted_server.requests[0]["messages"] == [
+            {"role": "user", "content": "Score article a1"}
+        ]
+
+    @pytest.mark.parametrize(
+        "retry_after, delay",
+        [("2", 2.0), ("Fri, 31 Dec 9999 23:59:59 GMT", RETRY_AFTER_MAX_SECONDS), ("soon", 1.0)],
+        ids=["delta", "date-capped", "unparseable"],
+    )
+    def test_retry_after_header_reaches_the_backoff(self, scripted_server, retry_after, delay):
+        scripted_server.retry_after = retry_after
+        sleeps = []
+        request_completion(scripted_server.cfg, make_task().messages, sleep=sleeps.append)
+        assert sleeps == [delay]
+
+    def test_error_status_is_returned_with_its_body_and_retry_after(self, scripted_server):
+        scripted_server.raw = (
+            b"HTTP/1.1 503 Busy\r\nRetry-After: 4\r\nContent-Length: 4\r\n\r\n\xffbad"
+        )
+        url = scripted_server.cfg.base_url + "/chat/completions"
+        assert default_transport(url, {"model": "m0"}, {}, 10.0) == (503, "\ufffdbad", "4")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"NOT HTTP AT ALL\r\n\r\n", b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}"],
+        ids=["bad-status-line", "incomplete-read"],
+    )
+    def test_protocol_errors_become_connection_errors(self, scripted_server, raw):
+        scripted_server.raw = raw
+        url = scripted_server.cfg.base_url + "/chat/completions"
+        with pytest.raises(ConnectionError):
+            default_transport(url, {"model": "m0"}, {}, 10.0)
+
+    def test_refused_connection_is_an_os_error(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(OSError):
+            default_transport(f"http://127.0.0.1:{port}/chat/completions", {}, {}, 10.0)
 
 
 class TestRoundToHalf:

@@ -1,16 +1,24 @@
-"""Importing refscore loads only what every stage needs, and the evaluation
-modules import no layer above them."""
+"""Importing refscore loads only what every stage needs, the evaluation
+modules import no layer above them, and refscore depends on nothing
+beyond the standard library, numpy and scipy."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # loaded where they run: scipy.special by the analyze and wata stages,
-# requests by live scoring
-LAZY = ("scipy.stats", "scipy.special", "requests")
+# urllib.request by live scoring
+LAZY = ("scipy.stats", "scipy.special", "urllib.request")
+
+# the only packages outside the standard library that refscore may import
+DEPENDENCIES = ["numpy", "scipy"]
 
 
 def test_import_leaves_lazy_modules_unloaded():
@@ -52,3 +60,26 @@ def test_evaluation_modules_import_no_upper_layer():
     for name in EVALUATION:
         source = (SRC / "refscore" / f"{name}.py").read_text(encoding="utf-8")
         assert imported_modules(source) & UPPER == set(), name
+
+
+def test_modules_import_only_the_standard_library_and_the_dependencies():
+    for path in sorted((SRC / "refscore").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top in DEPENDENCIES, (path.name, name)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_pyproject_declares_exactly_the_dependencies():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    names = [re.match(r"[A-Za-z0-9._-]+", dep).group() for dep in project["dependencies"]]
+    assert sorted(names) == DEPENDENCIES

@@ -1,4 +1,4 @@
-"""The score and extract stages against a local HTTP endpoint, through `requests`.
+"""The score and extract stages against a local HTTP endpoint.
 
 The server answers each request by its model and by whether the same body
 came before, never by arrival order, so the order in which the workers
@@ -18,21 +18,31 @@ from refscore.synth import make_synthetic_corpus
 from test_harness import write_config
 
 REPORT = "The design is sound and the claims follow.\n\nScore: 3*\n"
+# served apart from the answer, as DeepSeek and vLLM's reasoning parsers do
+REASONING = "Is this 1*? Score: 1* maybe."
+RETRY_AFTER = "3"
 
 # model -> (reply to a body's first request, reply to a repeat); "reply"
-# is a 200 carrying REPORT, "drop" closes the connection without a reply,
-# "no-choices" is a 200 whose body lacks choices. A model with one entry
-# fails on its first request, so a repeat must never come.
+# is a 200 carrying REPORT, "reasoning" one carrying REPORT with REASONING
+# as its reasoning_content, "drop" closes the connection without a reply,
+# "no-choices" is a 200 whose body lacks choices, "length" a 200 cut off at
+# the token limit before any content. A 429 carries RETRY_AFTER. A model
+# with one entry fails on its first request, so a repeat must never come.
 PLAN = {
     "ok": ("reply", "reply"),
     "busy": (429, "reply"),
     "flaky": (500, "reply"),
     "drop": ("drop", "reply"),
+    "thinker": ("reasoning", "reasoning"),
     "malformed": ("no-choices",),
     "refused": (400,),
+    "truncated": ("length",),
 }
-ATTEMPTS = {"ok": 1, "busy": 2, "flaky": 2, "drop": 2, "malformed": 1, "refused": 1}
-FAILED = {"malformed", "refused"}
+ATTEMPTS = {
+    "ok": 1, "busy": 2, "flaky": 2, "drop": 2, "thinker": 1, "malformed": 1, "refused": 1,
+    "truncated": 1,
+}
+FAILED = {"malformed", "refused", "truncated"}
 
 
 class PlannedHandler(BaseHTTPRequestHandler):
@@ -49,10 +59,18 @@ class PlannedHandler(BaseHTTPRequestHandler):
             return
         if reply == "reply":
             status, body = 200, {"choices": [{"message": {"content": REPORT}}]}
+        elif reply == "reasoning":
+            message = {"content": REPORT, "reasoning_content": REASONING}
+            status, body = 200, {"choices": [{"message": message}]}
+        elif reply == "length":
+            message = {"content": "", "reasoning_content": REASONING}
+            status, body = 200, {"choices": [{"message": message, "finish_reason": "length"}]}
         else:
             status, body = (200 if reply == "no-choices" else reply), {"error": "planned"}
         data = json.dumps(body).encode()
         self.send_response(status)
+        if status == 429:
+            self.send_header("Retry-After", RETRY_AFTER)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -81,7 +99,7 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-def test_score_and_extract_through_requests(tmp_path, server, monkeypatch):
+def test_score_and_extract_against_a_local_endpoint(tmp_path, server, monkeypatch):
     sleeps = []
     monkeypatch.setattr(
         harness, "HttpBackend", functools.partial(gateway.HttpBackend, sleep=sleeps.append)
@@ -102,8 +120,11 @@ def test_score_and_extract_through_requests(tmp_path, server, monkeypatch):
 
     assert manifest["failure"] is None
     assert dict(server.requests) == {m: n_articles * ATTEMPTS[m] for m in PLAN}
-    # each retried request backs off once, by the first backoff step
-    assert sleeps == [gateway.RETRY_BASE_SECONDS] * (3 * n_articles)
+    # each retried request backs off once: busy's 429 for its Retry-After,
+    # flaky and drop by the first backoff step
+    assert sorted(sleeps) == sorted(
+        [gateway.RETRY_BASE_SECONDS] * (2 * n_articles) + [float(RETRY_AFTER)] * n_articles
+    )
     assert len(records) == len(parsed) == len(PLAN) * n_articles
     for rec, row in zip(records, parsed):
         model = rec["model"]
@@ -118,7 +139,10 @@ def test_score_and_extract_through_requests(tmp_path, server, monkeypatch):
             assert scores == [None] * 5 and row["flags"] == []
         else:
             assert rec["status"] == gateway.STATUS_OK
-            assert rec["text"] == REPORT
+            if model == "thinker":
+                assert rec["text"] == f"<think>{REASONING}</think>\n\n{REPORT}"
+            else:
+                assert rec["text"] == REPORT
             assert row["effective"] == row["overall"] == 3.0
 
     counts = {stage["name"]: stage["counts"] for stage in manifest["stages"]}

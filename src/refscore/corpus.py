@@ -226,22 +226,26 @@ def sample_per_uoa(article_set: ArticleSet, n: int, seed: int) -> ArticleSet:
 
 
 def load_gold_csv(path: str | Path, kind: str) -> GoldStandard:
-    """Read a gold CSV with header ``article_id,score``."""
+    """Read a gold CSV with header ``article_id,score``, skipping a leading
+    UTF-8 byte-order mark. Every error names the file."""
     scores: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(GOLD_HEADER) <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header {','.join(GOLD_HEADER)}")
-        for row_no, row in enumerate(reader, start=2):
+        for row in reader:
             art_id = row["article_id"]
             try:
                 score = float(row["score"])
             except (TypeError, ValueError):
-                raise ValueError(f"{path}: row {row_no}: score is not a number") from None
+                raise ValueError(f"{path}: row {reader.line_num}: score is not a number") from None
             if art_id in scores:
                 raise ValueError(f"{path}: duplicate article id {art_id!r}")
             scores[art_id] = score
-    return GoldStandard(kind, scores)
+    try:
+        return GoldStandard(kind, scores)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_fewshot_pool(path: str | Path, eval_set: ArticleSet) -> FewShotPool:

@@ -119,37 +119,31 @@ class GatewayError(Exception):
         self.attempts = attempts
 
 
-def require_api_keys(configs) -> None:
-    """Fail before any request when a model's API key variable is unset.
+def preflight(configs) -> None:
+    """Fail before any request when a model's API key variable is unset, or
+    its ``base_url`` lacks an http(s) scheme or a host, which the transport
+    would only retry in vain.
 
-    One error names every missing variable and its model, so a live batch
-    never starts only to fail task by task.
+    One error names every missing variable with its model and every
+    unusable URL with its model, so a live batch never starts only to fail
+    task by task, nor fails one problem per run.
     """
-    missing = []
+    missing, unusable = [], []
     for cfg in configs:
         try:
             cfg.api_key()
         except GatewayError:
             missing.append(f"{cfg.api_key_env} (model {cfg.name})")
-    if missing:
-        raise GatewayError(
-            "API key environment variables are not set: " + ", ".join(missing), attempts=0
-        )
-
-
-def require_base_urls(configs) -> None:
-    """Fail before any request when a model's ``base_url`` lacks an http(s)
-    scheme or a host, which the transport would only retry in vain. One
-    error names every such model and its URL."""
-    unusable = []
-    for cfg in configs:
         parts = urlsplit(cfg.base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             unusable.append(f"{cfg.name} ({cfg.base_url!r})")
+    problems = []
+    if missing:
+        problems.append("API key environment variables are not set: " + ", ".join(missing))
     if unusable:
-        raise GatewayError(
-            "base_url needs an http(s) scheme and a host: " + ", ".join(unusable), attempts=0
-        )
+        problems.append("base_url needs an http(s) scheme and a host: " + ", ".join(unusable))
+    if problems:
+        raise GatewayError("; ".join(problems), attempts=0)
 
 
 def cache_key(task: CompletionTask, cfg: ModelConfig) -> str:

@@ -51,8 +51,7 @@ from .gateway import (
     ModelConfig,
     RawRecord,
     ResponseCache,
-    require_api_keys,
-    require_base_urls,
+    preflight,
     run_batch,
 )
 from .prompts import (
@@ -63,10 +62,10 @@ from .prompts import (
     build_few_shot_user,
     build_zero_shot_user,
     compose_messages,
+    default_system_prompt,
     select_fewshot,
 )
 from .stats import ScoreCell, ScoreMatrix, aggregate_across_units, correlate
-from .synth import default_system_prompt
 from .util import atomic_write_text, check_safe_names, json_objects, safe_name, seed_int, write_csv
 from .violin import emit_violin_svg, violin_summary
 from .wata import KWIC_SAMPLES, KWIC_TERMS, TokenizedDoc, compare, kwic, tokenize
@@ -274,7 +273,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     A key that is unknown, missing or of the wrong type raises a ValueError
     naming it."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config file must be a JSON object")
@@ -346,6 +345,7 @@ GOLDS = "gold_{kind}.csv"
 RECORDS = "records.jsonl"
 PARSED = "parsed.jsonl"
 MATRIX = "matrix.csv"
+MATRIX_HEADER = ("article_id", "model", "strategy", "score", "effective_k")
 
 
 def _write_jsonl(path: Path, rows) -> None:
@@ -472,8 +472,7 @@ def stage_score(
     cfg: ExperimentConfig, eval_set: ArticleSet, golds: dict[str, GoldStandard]
 ) -> dict:
     if not cfg.mock:
-        require_api_keys(cfg.models)
-        require_base_urls(cfg.models)
+        preflight(cfg.models)
     pool = _load_pool(cfg, eval_set)
     tasks = _build_tasks(cfg, eval_set, pool)
     cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
@@ -583,7 +582,7 @@ def _checked_matrix(cfg: ExperimentConfig, columns) -> ScoreMatrix:
 def _write_matrix(cfg: ExperimentConfig, matrix: ScoreMatrix) -> None:
     write_csv(
         cfg.out_dir / MATRIX,
-        ["article_id", "model", "strategy", "score", "effective_k"],
+        MATRIX_HEADER,
         (
             [art_id, model, strategy, repr(cell.score), cell.effective_k]
             for model, strategy in matrix.columns
@@ -593,13 +592,20 @@ def _write_matrix(cfg: ExperimentConfig, matrix: ScoreMatrix) -> None:
 
 
 def read_matrix(cfg: ExperimentConfig) -> ScoreMatrix:
+    """Read ``matrix.csv`` back. A missing column fails naming the file, a
+    short, malformed or out-of-range row naming the file and the row."""
+    path = cfg.out_dir / MATRIX
     columns: dict[tuple[str, str], dict[str, ScoreCell]] = {}
-    with open(cfg.out_dir / MATRIX, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["model"], row["strategy"])
-            columns.setdefault(key, {})[row["article_id"]] = ScoreCell(
-                score=float(row["score"]), effective_k=int(row["effective_k"])
-            )
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(MATRIX_HEADER) <= set(reader.fieldnames):
+            raise ValueError(f"{path}: expected header {','.join(MATRIX_HEADER)}")
+        for row in reader:
+            try:
+                cell = ScoreCell(score=float(row["score"]), effective_k=int(row["effective_k"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+            columns.setdefault((row["model"], row["strategy"]), {})[row["article_id"]] = cell
     return _checked_matrix(cfg, columns)
 
 
@@ -937,8 +943,3 @@ def run_stages(cfg: ExperimentConfig, stages) -> dict:
         manifest["failure"] = None
         _write_manifest(cfg, manifest)
     return manifest
-
-
-def run(cfg: ExperimentConfig) -> dict:
-    """Run the full pipeline. Returns the final manifest."""
-    return run_stages(cfg, STAGES)

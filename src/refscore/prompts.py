@@ -39,7 +39,14 @@ class SystemPromptTemplate:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SystemPromptTemplate":
-        return cls(Path(path).read_text(encoding="utf-8"))
+        return cls(Path(path).read_text(encoding="utf-8-sig"))
+
+
+def default_system_prompt() -> str:
+    """The system prompt shipped with the package, used when the config names none."""
+    from importlib.resources import files
+
+    return files("refscore").joinpath("data/system_prompt.txt").read_text(encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Synthetic corpus generation for offline runs, demos and tests.
 
 Writes an article JSONL file, proxy and individual gold CSVs, a few-shot
-exemplar pool and a latent-quality sidecar, all deterministic in the seed.
+exemplar pool and the default system prompt, all deterministic in the seed.
 """
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 from .corpus import GOLD_HEADER, SCORE_MAX, SCORE_MIN, STAR_LEVELS
+from .prompts import default_system_prompt
 from .util import atomic_write_text, clamp, substream, write_csv
 
 _WORDS = (
@@ -114,9 +115,6 @@ def make_synthetic_corpus(
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in pool_rows),
     )
 
-    latent_path = out_dir / "latent.json"
-    atomic_write_text(latent_path, json.dumps(latent, sort_keys=True, indent=1))
-
     system_path = out_dir / "system_prompt.txt"
     atomic_write_text(system_path, default_system_prompt())
 
@@ -125,12 +123,5 @@ def make_synthetic_corpus(
         "gold_individual": individual_path,
         "gold_proxy": proxy_path,
         "fewshot_pool": pool_path,
-        "latent": latent_path,
         "system_prompt": system_path,
     }
-
-
-def default_system_prompt() -> str:
-    from importlib.resources import files
-
-    return files("refscore").joinpath("data/system_prompt.txt").read_text(encoding="utf-8")

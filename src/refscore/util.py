@@ -172,9 +172,10 @@ def json_objects(path: str | Path):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
     A line that is not valid JSON, or not a JSON object, raises a
-    ``ValueError`` naming the file and the line.
+    ``ValueError`` naming the file and the line. A leading UTF-8 byte-order
+    mark is skipped.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -210,12 +211,25 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def write_csv(path: str | Path, header, rows) -> None:
     """A header line, then one line per row, each ending in a bare newline:
-    the format of every CSV file refscore writes."""
+    the format of every CSV file refscore writes.
+
+    The writer quotes a field for the characters of its line terminator
+    only, so a bare carriage return would end a row for every reader. A
+    file with one in any field is written with every field quoted.
+    """
+    rows = list(rows)
+    text = _csv_text(header, rows, csv.QUOTE_MINIMAL)
+    if "\r" in text:
+        text = _csv_text(header, rows, csv.QUOTE_ALL)
+    atomic_write_text(path, text)
+
+
+def _csv_text(header, rows, quoting: int) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def clamp(value: float, lo: float, hi: float) -> float:

@@ -1,13 +1,19 @@
-"""Config loading: path resolution and values that must reach validation."""
+"""Config loading: path resolution, values that must reach validation, and
+input files that start with a UTF-8 byte-order mark."""
+import codecs
 import re
 from dataclasses import fields
 
 import pytest
 
 from refscore.cli import build_parser, main
+from refscore.corpus import (
+    INDIVIDUAL, PROXY, ArticleSet, load_articles, load_fewshot_pool, load_gold_csv,
+)
 from refscore.fusion import DEParams
 from refscore.gateway import ModelConfig
 from refscore.harness import ExperimentConfig, load_config
+from refscore.prompts import SystemPromptTemplate
 from refscore.synth import make_synthetic_corpus
 from test_harness import write_config
 
@@ -221,3 +227,26 @@ def test_wrong_or_missing_key_is_rejected_by_name(tmp_path, extra, message, caps
         load_config(path)
     assert main(["ingest", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+# each input loader, by the synthetic corpus key (or "config") of its file,
+# with its result reduced to something comparable
+INPUT_LOADERS = {
+    "config": load_config,
+    "articles": lambda path: load_articles(path).articles,
+    "gold_individual": lambda path: load_gold_csv(path, INDIVIDUAL),
+    "gold_proxy": lambda path: load_gold_csv(path, PROXY),
+    "fewshot_pool": lambda path: load_fewshot_pool(path, ArticleSet([])).cells,
+    "system_prompt": SystemPromptTemplate.from_file,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_LOADERS))
+def test_input_with_a_byte_order_mark_loads_as_without(tmp_path, name):
+    corpus = make_synthetic_corpus(tmp_path, uoas=(1,), per_uoa=6, seed=0)
+    corpus["config"] = write_config(tmp_path, corpus)
+    path = corpus[name]
+    marked = path.with_name("bom-" + path.name)
+    marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    load = INPUT_LOADERS[name]
+    assert load(marked) == load(path)

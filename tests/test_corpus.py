@@ -239,11 +239,16 @@ class TestLoadGoldCsv:
         path.write_text("article_id,score\na,3.5\nb,high\n")
         with pytest.raises(ValueError, match="row 3"):
             load_gold_csv(path, INDIVIDUAL)
+        # a row is numbered by its line, blank lines included
+        path.write_text("article_id,score\n\na,3.5\nb,high\n")
+        with pytest.raises(ValueError, match="row 4:"):
+            load_gold_csv(path, INDIVIDUAL)
 
     def test_out_of_range_score_rejected(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("article_id,score\na,4.5\n")
-        with pytest.raises(ValueError, match=r"outside \[1.0, 4.0\]"):
+        message = f"{path}: gold score 4.5 for 'a' outside [1.0, 4.0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_gold_csv(path, INDIVIDUAL)
 
 

@@ -29,8 +29,8 @@ from refscore.gateway import (
     _round_to_half,
     cache_key,
     default_transport,
+    preflight,
     request_completion,
-    require_api_keys,
     run_batch,
 )
 from refscore.prompts import Message, MessageSequence
@@ -286,19 +286,37 @@ class TestRequestCompletion:
         monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)
         monkeypatch.delenv("TEST_GATEWAY_KEY_2", raising=False)
         monkeypatch.setenv("TEST_GATEWAY_KEY_3", "sk-present")
+        url = "http://127.0.0.1:9"
         configs = [
-            ModelConfig(name="m0", api_key_env="TEST_GATEWAY_KEY"),
-            ModelConfig(name="m1", api_key_env="TEST_GATEWAY_KEY_2"),
-            ModelConfig(name="m2", api_key_env="TEST_GATEWAY_KEY_3"),
-            ModelConfig(name="m3"),
+            ModelConfig(name="m0", base_url=url, api_key_env="TEST_GATEWAY_KEY"),
+            ModelConfig(name="m1", base_url=url, api_key_env="TEST_GATEWAY_KEY_2"),
+            ModelConfig(name="m2", base_url=url, api_key_env="TEST_GATEWAY_KEY_3"),
+            ModelConfig(name="m3", base_url=url),
         ]
         with pytest.raises(GatewayError) as info:
-            require_api_keys(configs)
+            preflight(configs)
         message = str(info.value)
         assert "TEST_GATEWAY_KEY (model m0)" in message
         assert "TEST_GATEWAY_KEY_2 (model m1)" in message
         assert "TEST_GATEWAY_KEY_3" not in message
-        require_api_keys(configs[2:])
+        preflight(configs[2:])
+
+    def test_preflight_names_missing_keys_and_unusable_urls_in_one_error(self, monkeypatch):
+        monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)
+        configs = [
+            ModelConfig(name="keyless", base_url="http://127.0.0.1:9", api_key_env="TEST_GATEWAY_KEY"),
+            ModelConfig(name="hostless", base_url="api.example.com/v1"),
+            ModelConfig(name="both", api_key_env="TEST_GATEWAY_KEY"),
+        ]
+        with pytest.raises(GatewayError) as info:
+            preflight(configs)
+        message = str(info.value)
+        assert info.value.attempts == 0
+        assert "TEST_GATEWAY_KEY (model keyless)" in message
+        assert "TEST_GATEWAY_KEY (model both)" in message
+        assert "hostless ('api.example.com/v1')" in message
+        assert "both ('')" in message
+        assert "keyless (" not in message
 
     def test_missing_api_key_env(self, monkeypatch):
         monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)

@@ -321,6 +321,25 @@ class TestBuildMatrix:
             ("m", "zero"): {"a": ScoreCell(3.0, 4)}
         }
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("article_id,model,strategy,score,k\na,m,zero,3.0,4\n",
+             "matrix.csv: expected header article_id,model,strategy,score,effective_k"),
+            ("article_id,model,strategy,score,effective_k\na,m,zero,3.0,2\nb,m,zero\n",
+             "matrix.csv: row 3: float() argument"),
+            ("article_id,model,strategy,score,effective_k\na,m,zero,x,2\n",
+             "matrix.csv: row 2: could not convert string to float: 'x'"),
+            ("article_id,model,strategy,score,effective_k\na,m,zero,4.5,2\n",
+             "matrix.csv: row 2: cell score 4.5 outside [1.0, 4.0]"),
+        ],
+        ids=["renamed-column", "truncated-row", "bad-score", "out-of-range-score"],
+    )
+    def test_malformed_matrix_names_file_and_row(self, tmp_path, text, message):
+        (tmp_path / "matrix.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_matrix(matrix_config(tmp_path))
+
 
 class TestStageIsolation:
     def test_missing_upstream_artifact_names_the_stage(self, tmp_path):

@@ -1,6 +1,8 @@
 """Importing refscore loads only what every stage needs, the evaluation
-modules import no layer above them, and refscore depends on nothing
-beyond the standard library, numpy and scipy."""
+modules import no layer above them, neither in their source nor at run
+time, the pipeline never loads the synthetic-corpus generator, and
+refscore depends on nothing beyond the standard library, numpy and
+scipy."""
 import ast
 import os
 import re
@@ -21,18 +23,24 @@ LAZY = ("scipy.stats", "scipy.special", "urllib.request")
 DEPENDENCIES = ["numpy", "scipy"]
 
 
-def test_import_leaves_lazy_modules_unloaded():
+def loaded_after(imports: str, candidates) -> list[str]:
+    """The ``candidates`` that a fresh interpreter has loaded after running
+    ``import {imports}``."""
     code = (
         "import sys\n"
-        "import refscore, refscore.cli, refscore.harness, refscore.synth\n"
-        f"print(','.join(m for m in {LAZY!r} if m in sys.modules))\n"
+        f"import {imports}\n"
+        f"print(','.join(m for m in {tuple(candidates)!r} if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert out.stdout.strip() == ""
+    return [m for m in out.stdout.strip().split(",") if m]
+
+
+def test_import_leaves_lazy_modules_unloaded():
+    assert loaded_after("refscore, refscore.cli, refscore.harness, refscore.synth", LAZY) == []
 
 
 # the evaluation modules work on plain data; none may reach back into the
@@ -60,6 +68,20 @@ def test_evaluation_modules_import_no_upper_layer():
     for name in EVALUATION:
         source = (SRC / "refscore" / f"{name}.py").read_text(encoding="utf-8")
         assert imported_modules(source) & UPPER == set(), name
+
+
+# what loading the evaluation layer must leave unloaded: the request and
+# prompt layers, the orchestration and the synthetic-corpus generator
+NOT_EVALUATION = [f"refscore.{name}" for name in ("gateway", "harness", "prompts", "synth", "cli")]
+
+
+def test_evaluation_modules_load_no_upper_layer():
+    imports = ", ".join(f"refscore.{name}" for name in EVALUATION)
+    assert loaded_after(imports, NOT_EVALUATION) == []
+
+
+def test_pipeline_does_not_load_the_synthetic_corpus_generator():
+    assert loaded_after("refscore.harness, refscore.cli", ["refscore.synth"]) == []
 
 
 def test_modules_import_only_the_standard_library_and_the_dependencies():
